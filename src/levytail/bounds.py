@@ -587,7 +587,7 @@ def bound_stable_type(M1: float, M2: float, alpha: float, eps: float, t: float,
 
     * ``fv`` (alpha in (0, 1)):        A (t lambda_eps)^2
     * ``iv_general`` (alpha in [1, 2)): B (t lambda_eps)^(1+1/alpha), times
-      log(Btilde / (t lambda_eps)) when alpha = 1; needs f <= M2 globally
+      log(max(Btilde / (t lambda_eps), e)) at alpha = 1; needs f <= M2 globally
     * ``iv_lipschitz`` (alpha in [1, 2)): C (t lambda_eps)^2; needs f
       Lipschitz as in the windowed residual bound
 
@@ -638,7 +638,8 @@ def bound_stable_type(M1: float, M2: float, alpha: float, eps: float, t: float,
         btilde = max(M2, math.e * w)
         raw = big_b * prod ** (1.0 + 1.0 / a)
         if a == 1.0:
-            raw *= math.log(btilde / prod)
+            # Btilde >= e W: the floor at e acts only outside the window
+            raw *= math.log(max(btilde / prod, math.e))
         consts = {"B": big_b, "Btilde": btilde, "W": w, "U": u,
                   "G1": cs["G1"], "G2": cs["G2"]}
         rate = 1.0 + 1.0 / a

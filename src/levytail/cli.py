@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import math
@@ -203,21 +204,12 @@ def _cmd_bound(settings: _Settings) -> int:
     return 0
 
 
-def _rows_to_csv(rows, model_name: str, columns=_CSV_COLUMNS) -> str:
+def _csv(columns, rows) -> str:
+    # minimal quoting keeps a model name such as cpp(1,uniform(1,2)) one field
     buf = io.StringIO()
-    buf.write(",".join(columns) + "\n")
-    for row in rows:
-        cells = []
-        for col in columns:
-            if col == "model":
-                cells.append(model_name)
-            elif col == "valid":
-                cells.append("true" if row.valid else "false")
-            elif col == "theorem":
-                cells.append(row.theorem)
-            else:
-                cells.append(_g17(getattr(row, col)))
-        buf.write(",".join(cells) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -251,7 +243,12 @@ def _cmd_validate(settings: _Settings) -> int:
                 for r in report.rows]
         _emit(json.dumps(body, sort_keys=True, indent=2) + "\n", out)
     else:
-        _emit(_rows_to_csv(report.rows, model.name), out)
+        _emit(_csv(_CSV_COLUMNS, ([
+            model.name, _g17(r.eps), _g17(r.t), _g17(r.truth), _g17(r.ci_low),
+            _g17(r.ci_high), _g17(r.lambda_eps), _g17(r.residual),
+            _g17(r.bound), r.theorem, "true" if r.valid else "false",
+            _g17(r.margin),
+        ] for r in report.rows)), out)
     sys.stdout.write(f"pass={report.n_pass} fail={report.n_fail} "
                      f"skip={report.n_skip}\n")
     return 0 if report.passed else 5
@@ -280,15 +277,11 @@ def _cmd_rate(settings: _Settings) -> int:
     if out is not None:
         columns = ("model", "eps", "t", "truth", "ci_low", "ci_high",
                    "lambda_eps", "residual")
-        buf = io.StringIO()
-        buf.write(",".join(columns) + "\n")
-        for p in curve.points:
-            buf.write(",".join([
-                model.name, _g17(eps), _g17(p.t), _g17(p.truth),
-                _g17(p.ci_low), _g17(p.ci_high), _g17(curve.lambda_eps),
-                _g17(p.residual),
-            ]) + "\n")
-        _emit(buf.getvalue(), out)
+        _emit(_csv(columns, ([
+            model.name, _g17(eps), _g17(p.t), _g17(p.truth),
+            _g17(p.ci_low), _g17(p.ci_high), _g17(curve.lambda_eps),
+            _g17(p.residual),
+        ] for p in curve.points)), out)
     _print_pairs([
         ("slope", fit.slope),
         ("intercept", fit.intercept),

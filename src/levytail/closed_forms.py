@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -130,8 +131,11 @@ def gamma_tail(eps: float, t: float) -> ExactTail:
             f"the gamma closed form is restricted to 0 < t < 1, got t = {t}"
         )
     value = regularized_gamma_q(t, eps)
-    return ExactTail(value=value, abs_error_estimate=5e-14 * max(value, 1e-30),
-                     method="series")
+    err = 5e-14 * max(value, 1e-30)
+    if eps < t + 1.0:
+        # the series branch returns 1 - P(t, eps): P's rounding is absolute
+        err += 32.0 * _EPS
+    return ExactTail(value=value, abs_error_estimate=err, method="series")
 
 
 def ig_tail(eps: float, t: float) -> ExactTail:
@@ -182,32 +186,26 @@ class UniformJump:
     lo: float
     hi: float
 
-    def tail(self, y: float) -> float:
-        if y <= self.lo:
-            return 1.0
-        if y > self.hi:
-            return 0.0
-        return (self.hi - y) / (self.hi - self.lo)
 
-
-def _uniform_sum_tails(lo: float, hi: float, eps: float, n_terms: int,
-                       cells: int) -> list[float]:
-    # P(S_n >= eps) for n = 1..n_terms by iterated grid convolution.
-    width = n_terms * hi
-    dx = width / cells
-    centers = (np.arange(cells) + 0.5) * dx
-    f1 = np.where((centers >= lo) & (centers <= hi), 1.0, 0.0)
-    if f1.sum() == 0.0:
-        raise QuadratureFailure(
-            "convolution grid too coarse to resolve the jump law"
-        )
-    f1 /= f1.sum() * dx
-    tails = [UniformJump(lo, hi).tail(eps)]
-    fn = f1
-    for _ in range(2, n_terms + 1):
-        fn = np.convolve(fn, f1)[:cells] * dx
-        tails.append(float(fn[centers >= eps].sum() * dx))
-    return tails
+def _irwin_hall_tail(lo: float, hi: float, eps: float, n: int) -> float:
+    # P(S_n >= eps) for n uniform(lo, hi) jumps.  S_n = n lo + (hi - lo) IH_n
+    # and P(IH_n >= x) = P(IH_n <= n - x), so this is the Irwin-Hall CDF
+    # F(z) = sum_k (-1)^k C(n, k) (z - k)^n / n! at z = (n hi - eps) / (hi - lo),
+    # summed exactly over integers and rounded once.  Past z = n/2 the shorter
+    # sum 1 - F(n - z) is taken.
+    z = (n * Fraction(hi) - Fraction(eps)) / (Fraction(hi) - Fraction(lo))
+    if z <= 0:
+        return 0.0
+    if z >= n:
+        return 1.0
+    p, q = z.numerator, z.denominator
+    flip = 2 * p > n * q
+    if flip:
+        p = n * q - p
+    total = sum((-1) ** k * math.comb(n, k) * (p - k * q) ** n
+                for k in range(p // q + 1))
+    scale = q ** n * math.factorial(n)
+    return (scale - total if flip else total) / scale
 
 
 def cpp_exact_tail(lam: float, jump, eps: float, t: float,
@@ -237,17 +235,17 @@ def cpp_exact_tail(lam: float, jump, eps: float, t: float,
                              method="exact")
         n_sure = math.ceil(eps / jump.lo - 1e-12) if jump.lo > 0.0 else None
         n_top = n_max if n_sure is None else min(n_sure - 1, n_max)
-        coarse = _uniform_sum_tails(jump.lo, jump.hi, eps, n_top, 2 ** 13)
-        fine = _uniform_sum_tails(jump.lo, jump.hi, eps, n_top, 2 ** 14)
+        tails = [_irwin_hall_tail(jump.lo, jump.hi, eps, n)
+                 for n in range(1, n_top + 1)]
         pmf = stats.poisson.pmf(np.arange(1, n_top + 1), mu)
-        value = float(np.dot(pmf, fine))
-        err = float(np.dot(pmf, np.abs(np.asarray(fine) - np.asarray(coarse))))
+        value = float(np.dot(pmf, tails))
+        # each tail is exact to half an ulp; the Poisson weights are not
+        err = (n_top + 8) * _EPS * value + 8.0 * _EPS
         if n_sure is not None and n_sure - 1 <= n_max:
             value += float(stats.poisson.sf(n_sure - 1, mu))
         else:
             err += float(stats.poisson.sf(n_top, mu))
-        return ExactTail(value=value, abs_error_estimate=err + 8.0 * _EPS,
-                         method="convolution")
+        return ExactTail(value=value, abs_error_estimate=err, method="exact")
 
     tail_fn: Callable[[float], float]
     if hasattr(jump, "tail"):

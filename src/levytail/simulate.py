@@ -335,8 +335,9 @@ def _exact_sampler(model: LevyModel) -> Optional[Callable]:
         return lambda t, rng, n: rng.wald(t * _SQRT_PI, 2.0 * math.pi * t * t,
                                           size=n)
     if name.startswith("stable("):
-        alpha, scale = model.class_alpha, model.class_M
-        return lambda t, rng, n: _sample_stable(alpha, scale, t, rng, n)
+        # the law is the model's own; class_alpha and class_M may be looser
+        (part,) = model.jump_parts
+        return lambda t, rng, n: _sample_stable(part.alpha, part.coef, t, rng, n)
     if name.startswith("cpp(") and model.jump_parts is not None:
         lo = min(p.lo for p in model.jump_parts)
         return lambda t, rng, n: sample_compound_band(model, lo, math.inf,

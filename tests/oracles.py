@@ -1,8 +1,9 @@
-"""Independent high-precision reference values for the explicit constants.
+"""Independent high-precision reference values for the explicit constants
+and for compound Poisson tails with uniform jumps.
 
 Every formula here is transcribed separately from the library (mpmath
-arithmetic, no imports from levytail), so agreement with bounds.constants is
-a genuine double-entry check, not a tautology.  Domains mirror the library:
+arithmetic, no imports from levytail), so agreement with bounds.constants and
+closed_forms.cpp_exact_tail is a genuine double-entry check, not a tautology.  Domains mirror the library:
 the finite-variation family lives on alpha in (0, 1), the infinite-variation
 family on [1, 2) with the alpha > 1 pole terms dropped at alpha = 1 (the
 limiting log forms for K4 and K5 are asserted as frozen values in
@@ -11,7 +12,7 @@ test_constants instead of being swept here).
 
 from __future__ import annotations
 
-from mpmath import exp, log, mp, mpf
+from mpmath import binomial, exp, factorial, floor, fsum, log, mp, mpf
 
 mp.dps = 40
 
@@ -152,3 +153,33 @@ def corollary_iv_lipschitz(alpha, M1, M2) -> dict:
          + 2
          + W ** 2 * m2 ** 4 * 2 * iv["K3"] * a ** 4 / (16 * m1 ** 4))
     return {"C": C, "W": W}
+
+
+# === compound Poisson with uniform jumps =====================================
+
+
+def _irwin_hall_sf(n: int, x):
+    """P(U_1 + ... + U_n >= x) for iid uniform(0, 1) summands, written as
+    the CDF at n - x by the symmetry of the Irwin-Hall law."""
+    if x <= 0:
+        return mpf(1)
+    if x >= n:
+        return mpf(0)
+    z = n - x
+    return fsum((-1) ** k * binomial(n, k) * (z - k) ** n
+                for k in range(int(floor(z)) + 1)) / factorial(n)
+
+
+def cpp_uniform_tail(lam, lo, hi, eps, t):
+    """P(Z_t >= eps) for rate lam and uniform(lo, hi) jumps: the Poisson
+    mixture sum_n P(N_t = n) P(n lo + (hi - lo) IH_n >= eps), summed until
+    the Poisson weights fall below 1e-45."""
+    mu = mpf(lam) * mpf(t)
+    lo, hi, eps = mpf(lo), mpf(hi), mpf(eps)
+    total, n = mpf(0), 1
+    while True:
+        pmf = exp(-mu) * mu ** n / factorial(n)
+        total += pmf * _irwin_hall_sf(n, (eps - n * lo) / (hi - lo))
+        if n > mu and pmf < mpf(10) ** -45:
+            return total
+        n += 1

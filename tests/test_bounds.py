@@ -436,8 +436,21 @@ def test_stable_type_iv_general_log_factor_at_alpha_one():
     cu = res.constants_used
     prod = 0.01 * lam
     expect = cu["B"] * prod ** 2.0 * math.log(cu["Btilde"] / prod)
-    assert res.value == pytest.approx(expect, rel=1e-13)
+    assert res.value == expect
     assert res.rate_exponent == 2.0
+
+
+def test_stable_type_iv_general_alpha_one_beyond_btilde():
+    # For the Cauchy t lambda_eps passes Btilde at t = (e/2) eps, outside the
+    # window, where log(Btilde / (t lambda_eps)) would turn the bound negative.
+    m, eps = 1.0 / math.pi, 0.21
+    lam = 2.0 / (math.pi * eps)
+    res = bd.bound_stable_type(m, m, 1.0, eps, 0.2865, "iv_general", lam)
+    assert not res.valid
+    assert 0.0 <= res.value < math.inf
+    values = [bd.bound_stable_type(m, m, 1.0, eps, t, "iv_general", lam).value
+              for t in (0.05, 0.1, 0.2, 0.2854, 0.2855, 0.2865, 0.5, 1.5)]
+    assert values == sorted(values)
 
 
 def test_stable_type_iv_lipschitz_rate():

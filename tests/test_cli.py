@@ -1,5 +1,7 @@
 """End-to-end command behavior: output contracts and exit codes."""
 
+import csv
+import io
 import json
 import math
 
@@ -100,6 +102,27 @@ def test_validate_csv_schema_and_summary(capsys):
     assert first[0] == "cauchy"
     assert first[9] == "lambda2bis"
     assert first[10] == "true"
+
+
+def test_csv_quotes_model_names_with_commas(capsys, tmp_path):
+    model = "cpp(1, uniform(1,2))"
+    code, out, _ = run(capsys, "validate", "--model", model,
+                       "--eps-grid", "2.3", "--t-grid", "0.1,0.2")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out.rsplit("\n", 2)[0])))
+    assert len(rows) == 2
+    for row in rows:
+        assert None not in row and len(row) == 12
+        assert row["model"] == "cpp(1,uniform(1,2))"
+        assert row["theorem"] == "teo1"
+    dest = tmp_path / "curve.csv"
+    code, _, _ = run(capsys, "rate", "--model", model, "--eps", "2.3",
+                     "--t-grid", "1e-3:1e-1", "--out", str(dest))
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(dest.read_text())))
+    assert len(rows) == 25
+    assert all(None not in row and len(row) == 8 for row in rows)
+    assert {row["model"] for row in rows} == {"cpp(1,uniform(1,2))"}
 
 
 def test_validate_out_file_keeps_stdout_summary_only(capsys, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special, stats
 
+import oracles
 from levytail import closed_forms as cf
 from levytail.errors import (
     InvalidCutoff,
@@ -72,6 +73,19 @@ def test_gamma_tail_is_regularized_q():
             assert abs(got.value - expect) <= 10.0 * got.abs_error_estimate + 1e-16
 
 
+def test_gamma_tail_error_estimate_covers_mpmath():
+    # The series branch (eps < t + 1) returns 1 - P(t, eps), where the
+    # rounding of P is an absolute error of up to a few ulp of 1.
+    points = [(float(eps), float(t))
+              for t in np.geomspace(1e-6, 0.999, 40)
+              for eps in np.geomspace(1e-4, 50.0, 40)]
+    for eps, t in points + [(1.0, 1e-5), (0.5, 1e-2)]:
+        got = cf.gamma_tail(eps, t)
+        expect = float(mpmath.gammainc(mpmath.mpf(t), mpmath.mpf(eps),
+                                       mpmath.inf, regularized=True))
+        assert abs(got.value - expect) <= got.abs_error_estimate, (eps, t)
+
+
 def test_gamma_tail_rejects_shape_at_least_one():
     with pytest.raises(ShapeTooLarge):
         cf.gamma_tail(1.0, 1.0)
@@ -122,6 +136,18 @@ def test_cpp_uniform_triangle_cross_check():
     got = cf.cpp_exact_tail(lam, cf.UniformJump(1.0, 2.0), eps, t)
     assert got.value == pytest.approx(float(expect), rel=2e-4)
     assert abs(got.value - float(expect)) <= 4.0 * got.abs_error_estimate + 1e-9
+
+
+@pytest.mark.parametrize("lam, lo, hi, eps", [
+    (1.0, 1.0, 2.0, 2.3), (1.0, 1.0, 2.0, 4.0), (1.0, 1.0, 2.0, 5.0),
+    (2.0, 0.5, 1.5, 1.2), (2.0, 0.5, 1.5, 2.0), (2.0, 0.5, 1.5, 2.5),
+    (2.0, 0.5, 1.5, 3.0), (1.0, 0.0, 1.0, 1.5),
+])
+@pytest.mark.parametrize("t", [0.01, 0.1, 0.5, 0.9])
+def test_cpp_uniform_tail_matches_irwin_hall_oracle(lam, lo, hi, eps, t):
+    got = cf.cpp_exact_tail(lam, cf.UniformJump(lo, hi), eps, t)
+    expect = float(oracles.cpp_uniform_tail(lam, lo, hi, eps, t))
+    assert abs(got.value - expect) <= got.abs_error_estimate
 
 
 def test_cpp_generic_law_needs_full_mass_beyond_eps():

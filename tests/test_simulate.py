@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from levytail import simulate as sim
 from levytail.errors import SchemeInfeasible
-from levytail.levy_model import cauchy, gamma, power_law, stable
+from levytail.levy_model import cauchy, gamma, parse_model, power_law, stable
 from levytail.simulate import (
     MCEstimate,
     SeededStream,
@@ -72,6 +72,14 @@ def test_stable_sampler_agrees_with_cauchy_at_alpha_one():
     truth = cauchy().closed.tail(eps, t).value
     est = estimate_tail_prob(model, eps, t, n=400_000, stream=SeededStream(23))
     assert est.ci_low <= truth <= est.ci_high
+
+
+def test_stable_sampler_ignores_looser_class_certificate():
+    # class_M = 2 only loosens the certificate; the process is unchanged
+    runs = [estimate_tail_prob(parse_model(text), 1.0, 0.05, n=50_000,
+                               stream=SeededStream(3))
+            for text in ("stable(1.5,1)", "stable(1.5,1); class_M=2")]
+    assert runs[0] == runs[1]
 
 
 def test_gamma_estimate_brackets_closed_truth():
