@@ -34,14 +34,14 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"not a boolean: {text!r}")
 
 
-def _parse_grid(text: str, per_decade: int = 12) -> list[float]:
+def _parse_grid(text: str) -> list[float]:
     """Grid syntax: "lo:hi:points", "lo:hi" (12 points per decade) or a
     comma separated list of values."""
     if ":" in text:
         fields = text.split(":")
         if len(fields) == 2:
             lo, hi = float(fields[0]), float(fields[1])
-            return [float(v) for v in _harness.t_log_grid(lo, hi, per_decade)]
+            return [float(v) for v in _harness.t_log_grid(lo, hi, 12)]
         if len(fields) == 3:
             import numpy as np
             lo, hi, npts = float(fields[0]), float(fields[1]), int(fields[2])
@@ -333,43 +333,38 @@ def _cmd_simulate(settings: _Settings) -> int:
 # === argument wiring =========================================================
 
 
-def _add(parser: argparse.ArgumentParser, *names: str) -> set[str]:
-    """Register the named options, all defaulting to None so config values
-    can fill them in."""
-    spec = {
-        "model": dict(help="model expression, e.g. cauchy or power_law(1,0.5)"),
-        "eps": dict(type=float, help="jump size cutoff"),
-        "t": dict(type=float, help="time horizon"),
-        "t_grid": dict(help="t grid: lo:hi, lo:hi:points or v1,v2,..."),
-        "eps_grid": dict(help="eps grid: lo:hi, lo:hi:points or v1,v2,..."),
-        "alpha": dict(type=float, help="stable-type index"),
-        "m": dict(type=float, help="class constant M"),
-        "m1": dict(type=float, help="lower envelope constant"),
-        "n": dict(type=int, help="Monte Carlo paths (default 1000000)"),
-        "seed": dict(type=int, help="master seed (default 0)"),
-        "shards": dict(type=int, help="worker shards (default 1)"),
-        "confidence": dict(type=float, help="CI level (default 0.99)"),
-        "method": dict(choices=("wilson", "clopper_pearson"),
-                       help="binomial interval"),
-        "truth": dict(choices=("closed", "mc"), help="truth source"),
-        "theorem": dict(help="bound selector (default auto)"),
-        "delta": dict(type=float, help="small-jump simulation cutoff"),
-        "refine": dict(action="store_true", default=None,
-                       help="Gaussian refinement below delta"),
-        "bias_budget": dict(type=float, help="certified bias budget"),
-        "margin": dict(type=float, help="threshold margin for MC counts"),
-        "widen": dict(choices=("certified", "plain"), help="CI widening"),
-        "side": dict(choices=("abs", "pos"), help="tail side (default abs)"),
-        "smalljump": dict(action="store_true", default=None,
-                          help="estimate the small-jump martingale tail"),
-        "x": dict(type=float, help="threshold for the small-jump tail"),
-        "out": dict(help="write output to this file"),
-        "format": dict(choices=("text", "json", "csv"), help="output format"),
-    }
-    for name in names:
-        parser.add_argument("--" + name.replace("_", "-"), **spec[name])
-    parser.add_argument("--config", help="key=value config file")
-    return set(names)
+# every option defaults to None so config values can fill it in
+_OPTIONS = {
+    "model": dict(help="model expression, e.g. cauchy or power_law(1,0.5)"),
+    "eps": dict(type=float, help="jump size cutoff"),
+    "t": dict(type=float, help="time horizon"),
+    "t_grid": dict(help="t grid: lo:hi, lo:hi:points or v1,v2,..."),
+    "eps_grid": dict(help="eps grid: lo:hi, lo:hi:points or v1,v2,..."),
+    "alpha": dict(type=float, help="stable-type index"),
+    "m": dict(type=float, help="class constant M"),
+    "m1": dict(type=float, help="lower envelope constant"),
+    "n": dict(type=int, help="Monte Carlo paths (default 1000000)"),
+    "seed": dict(type=int, help="master seed (default 0)"),
+    "shards": dict(type=int, help="sample shards, run one after another in "
+                                  "this process (default 1)"),
+    "confidence": dict(type=float, help="CI level (default 0.99)"),
+    "method": dict(choices=("wilson", "clopper_pearson"),
+                   help="binomial interval"),
+    "truth": dict(choices=("closed", "mc"), help="truth source"),
+    "theorem": dict(help="bound selector (default auto)"),
+    "delta": dict(type=float, help="small-jump simulation cutoff"),
+    "refine": dict(action="store_true", default=None,
+                   help="Gaussian refinement below delta"),
+    "bias_budget": dict(type=float, help="certified bias budget"),
+    "margin": dict(type=float, help="threshold margin for MC counts"),
+    "widen": dict(choices=("certified", "plain"), help="CI widening"),
+    "side": dict(choices=("abs", "pos"), help="tail side (default abs)"),
+    "smalljump": dict(action="store_true", default=None,
+                      help="estimate the small-jump martingale tail"),
+    "x": dict(type=float, help="threshold for the small-jump tail"),
+    "out": dict(help="write output to this file"),
+    "format": dict(choices=("text", "json", "csv"), help="output format"),
+}
 
 
 _HANDLERS = {
@@ -397,16 +392,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Explicit tail bounds and validation for jump processes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    allowed = {}
     for name, (_, options) in _HANDLERS.items():
-        allowed[name] = _add(sub.add_parser(name), *options)
-    parser.set_defaults(_allowed=allowed)
+        subparser = sub.add_parser(name)
+        for option in options:
+            subparser.add_argument("--" + option.replace("_", "-"),
+                                   **_OPTIONS[option])
+        subparser.add_argument("--config", help="key=value config file")
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handler, options = _HANDLERS[args.command]
     try:
         settings = _Settings(args, set(options))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate, special
 
 from .errors import (
     InvalidCutoff,
@@ -33,12 +33,9 @@ __all__ = [
     "UniformJump",
     "cpp_exact_tail",
     "poisson_two_or_more",
-    "regularized_gamma_q",
 ]
 
 _EPS = 2.220446049250313e-16
-_FPMIN = 1e-300
-_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -65,60 +62,6 @@ def cauchy_tail(eps: float, t: float) -> ExactTail:
                      method="exact")
 
 
-# --- regularized incomplete gamma, hand rolled so the error budget is ours ---
-
-
-def _lower_series(a: float, x: float) -> float:
-    # P(a, x) by the standard power series, good for x < a + 1.
-    ap = a
-    summ = 1.0 / a
-    term = summ
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        summ += term
-        if abs(term) < abs(summ) * _EPS:
-            return summ * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise QuadratureFailure("incomplete gamma series did not converge")
-
-
-def _upper_cf(a: float, x: float) -> float:
-    # Q(a, x) by the continued fraction with modified Lentz iteration,
-    # good for x >= a + 1.
-    b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise QuadratureFailure("incomplete gamma continued fraction did not converge")
-
-
-def regularized_gamma_q(a: float, x: float) -> float:
-    """Q(a, x) = Gamma(a, x) / Gamma(a) for a > 0, x >= 0."""
-    if a <= 0.0:
-        raise ValueError(f"shape a must be positive, got {a}")
-    if x < 0.0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _lower_series(a, x)
-    return _upper_cf(a, x)
-
-
 def gamma_tail(eps: float, t: float) -> ExactTail:
     """Gamma subordinator with f(x) = exp(-x)/x: P(X_t >= eps) = Q(t, eps).
 
@@ -130,10 +73,16 @@ def gamma_tail(eps: float, t: float) -> ExactTail:
         raise ShapeTooLarge(
             f"the gamma closed form is restricted to 0 < t < 1, got t = {t}"
         )
-    value = regularized_gamma_q(t, eps)
+    value = float(special.gammaincc(t, eps))
+    # Measured with scipy 1.17 against 40-digit mpmath Q(t, eps) on 21,600
+    # points: the 40x40 log grid t in [1e-6, 0.999], eps in [1e-4, 50],
+    # random points on the same ranges, the strip eps in (t + 1, 1.1] and
+    # eps in [0.5, 2.5]; and at (eps, t) = (0.99989, 0.50007).  The error was
+    # at most 0.79 of this estimate, at that last point, where scipy is off
+    # by 427 ulp of the value: a relative charge of a few hundred ulp would
+    # not cover it, the 32 ulp of 1 on the branch eps < t + 1 does.
     err = 5e-14 * max(value, 1e-30)
     if eps < t + 1.0:
-        # the series branch returns 1 - P(t, eps): P's rounding is absolute
         err += 32.0 * _EPS
     return ExactTail(value=value, abs_error_estimate=err, method="series")
 
@@ -175,9 +124,6 @@ class PointJump:
 
     a: float
 
-    def tail(self, y: float) -> float:
-        return 1.0 if self.a >= y else 0.0
-
 
 @dataclass(frozen=True)
 class UniformJump:
@@ -208,8 +154,7 @@ def _irwin_hall_tail(lo: float, hi: float, eps: float, n: int) -> float:
     return (scale - total if flip else total) / scale
 
 
-def cpp_exact_tail(lam: float, jump, eps: float, t: float,
-                   n_max: int = 64) -> ExactTail:
+def cpp_exact_tail(lam: float, jump, eps: float, t: float) -> ExactTail:
     """P(Z_t >= eps) for a compound Poisson process with nonnegative jumps.
 
     ``jump`` is a :class:`PointJump`, a :class:`UniformJump`, or any object
@@ -223,8 +168,8 @@ def cpp_exact_tail(lam: float, jump, eps: float, t: float,
     mu = lam * t
 
     if isinstance(jump, PointJump):
-        n_min = max(1, math.ceil(eps / jump.a - 1e-12))
-        value = float(stats.poisson.sf(n_min - 1, mu))
+        n_min = max(1, math.ceil(Fraction(eps) / Fraction(jump.a)))
+        value = float(special.pdtrc(n_min - 1, mu))
         return ExactTail(value=value, abs_error_estimate=8.0 * _EPS,
                          method="exact")
 
@@ -233,18 +178,24 @@ def cpp_exact_tail(lam: float, jump, eps: float, t: float,
             value = -math.expm1(-mu)
             return ExactTail(value=value, abs_error_estimate=4.0 * _EPS,
                              method="exact")
-        n_sure = math.ceil(eps / jump.lo - 1e-12) if jump.lo > 0.0 else None
-        n_top = n_max if n_sure is None else min(n_sure - 1, n_max)
+        # n_sure jumps always clear eps; the sum is cut after n_top terms
+        n_top = max(64, int(10.0 * mu) + 16)
+        n_sure = (math.ceil(Fraction(eps) / Fraction(jump.lo))
+                  if jump.lo > 0.0 else math.inf)
+        sure = n_sure - 1 <= n_top
+        n_top = min(n_top, n_sure - 1)
         tails = [_irwin_hall_tail(jump.lo, jump.hi, eps, n)
                  for n in range(1, n_top + 1)]
-        pmf = stats.poisson.pmf(np.arange(1, n_top + 1), mu)
+        n = np.arange(1, n_top + 1)
+        pmf = np.exp(special.xlogy(n, mu) - special.gammaln(n + 1) - mu)
         value = float(np.dot(pmf, tails))
         # each tail is exact to half an ulp; the Poisson weights are not
         err = (n_top + 8) * _EPS * value + 8.0 * _EPS
-        if n_sure is not None and n_sure - 1 <= n_max:
-            value += float(stats.poisson.sf(n_sure - 1, mu))
+        rest = float(special.pdtrc(n_top, mu))  # P(N > n_top)
+        if sure:
+            value += rest
         else:
-            err += float(stats.poisson.sf(n_top, mu))
+            err += rest
         return ExactTail(value=value, abs_error_estimate=err, method="exact")
 
     tail_fn: Callable[[float], float]

@@ -826,9 +826,7 @@ def cpp_uniform(lam: float, lo: float, hi: float,
         class_m = 1.0  # vacuous: no mass on the class region
     jump = closed_forms.UniformJump(lo, hi)
     closed = ClosedFunctionals(
-        tail=lambda eps, t: closed_forms.cpp_exact_tail(
-            lam, jump, eps, t, n_max=max(64, int(10.0 * lam * t) + 16)
-        )
+        tail=lambda eps, t: closed_forms.cpp_exact_tail(lam, jump, eps, t)
     )
     return LevyModel(
         density=_parts_density(parts),

@@ -346,12 +346,12 @@ def _exact_sampler(model: LevyModel) -> Optional[Callable]:
 
 
 def sample_increment(model: LevyModel, t: float, rng: np.random.Generator,
-                     n: int, scheme: Optional[SmallJumpScheme] = None,
-                     split: float = 1.0) -> np.ndarray:
+                     n: int,
+                     scheme: Optional[SmallJumpScheme] = None) -> np.ndarray:
     """Draws of X_t, exact where the marginal is known, composed otherwise.
 
-    The composed route needs a scheme and assembles t b(split) + M_t(split)
-    + Z_t(split) with the jumps beyond ``split`` simulated exactly.
+    The composed route needs a scheme and assembles t b(1) + M_t(1) + Z_t(1)
+    with the jumps beyond 1 simulated exactly.
     """
     exact = _exact_sampler(model)
     if exact is not None:
@@ -360,9 +360,9 @@ def sample_increment(model: LevyModel, t: float, rng: np.random.Generator,
         raise SchemeInfeasible(
             f"model {model.name!r} has no exact sampler; pass a SmallJumpScheme"
         )
-    shift = 0.0 if model.symmetric else t * drift_b(model, split).value
-    small = sample_small_jumps(model, split, t, scheme, rng, n)
-    big = sample_compound_band(model, split, math.inf, t, rng, n)
+    shift = 0.0 if model.symmetric else t * drift_b(model, 1.0).value
+    small = sample_small_jumps(model, 1.0, t, scheme, rng, n)
+    big = sample_compound_band(model, 1.0, math.inf, t, rng, n)
     return shift + small + big
 
 

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import special, stats
+from scipy import stats
 
 import oracles
 from levytail import closed_forms as cf
@@ -18,22 +18,21 @@ from levytail.errors import (
 )
 
 
-# === regularized upper incomplete gamma ======================================
+# === regularized upper incomplete gamma Q(t, eps) =============================
+
+
+def _mp_gamma_q(t, eps):
+    return float(mpmath.gammainc(mpmath.mpf(t), mpmath.mpf(eps), mpmath.inf,
+                                 regularized=True))
 
 
 @pytest.mark.parametrize("a", [1e-4, 1e-3, 0.01, 0.1, 0.5, 0.9, 0.999])
 @pytest.mark.parametrize("x", [1e-3, 0.3, 1.0, 2.5, 10.0])
 def test_gamma_q_matches_mpmath(a, x):
-    got = cf.regularized_gamma_q(a, x)
-    expect = float(mpmath.gammainc(a, x, mpmath.inf, regularized=True))
-    assert got == pytest.approx(expect, rel=5e-14)
-
-
-def test_gamma_q_matches_scipy():
-    for a in (0.01, 0.2, 0.7):
-        for x in (0.05, 0.8, 3.0):
-            assert cf.regularized_gamma_q(a, x) == pytest.approx(
-                float(special.gammaincc(a, x)), rel=1e-12)
+    got = cf.gamma_tail(x, a)
+    expect = _mp_gamma_q(a, x)
+    assert got.value == pytest.approx(expect, rel=5e-14)
+    assert abs(got.value - expect) <= got.abs_error_estimate
 
 
 class TestGammaQProperties:
@@ -41,7 +40,7 @@ class TestGammaQProperties:
     @given(st.floats(min_value=1e-6, max_value=0.999),
            st.floats(min_value=1e-6, max_value=50.0))
     def test_in_unit_interval(self, a, x):
-        q = cf.regularized_gamma_q(a, x)
+        q = cf.gamma_tail(x, a).value
         assert 0.0 <= q <= 1.0
 
     @settings(max_examples=200, deadline=None)
@@ -49,8 +48,8 @@ class TestGammaQProperties:
            st.floats(min_value=1e-4, max_value=20.0),
            st.floats(min_value=1.01, max_value=3.0))
     def test_decreasing_in_x(self, a, x, mult):
-        assert cf.regularized_gamma_q(a, x * mult) <= \
-            cf.regularized_gamma_q(a, x) + 1e-15
+        assert cf.gamma_tail(x * mult, a).value <= \
+            cf.gamma_tail(x, a).value + 1e-15
 
 
 # === model tails =============================================================
@@ -74,16 +73,24 @@ def test_gamma_tail_is_regularized_q():
 
 
 def test_gamma_tail_error_estimate_covers_mpmath():
-    # The series branch (eps < t + 1) returns 1 - P(t, eps), where the
-    # rounding of P is an absolute error of up to a few ulp of 1.
     points = [(float(eps), float(t))
               for t in np.geomspace(1e-6, 0.999, 40)
               for eps in np.geomspace(1e-4, 50.0, 40)]
-    for eps, t in points + [(1.0, 1e-5), (0.5, 1e-2)]:
+    for eps, t in points + [(1.0, 1e-5), (0.5, 1e-2), (0.99989, 0.50007)]:
         got = cf.gamma_tail(eps, t)
-        expect = float(mpmath.gammainc(mpmath.mpf(t), mpmath.mpf(eps),
-                                       mpmath.inf, regularized=True))
+        expect = _mp_gamma_q(t, eps)
         assert abs(got.value - expect) <= got.abs_error_estimate, (eps, t)
+
+
+def test_gamma_tail_error_estimate_covers_mpmath_near_eps_one():
+    # Around eps = 1 the value is off by up to a few hundred ulp of itself,
+    # so an estimate of 128 ulp of the value misses points of this grid.
+    rng = np.random.default_rng(20261018)
+    for eps, t in zip(rng.uniform(0.5, 2.5, 2000), rng.uniform(1e-3, 1.0, 2000)):
+        eps, t = float(eps), float(t)
+        got = cf.gamma_tail(eps, t)
+        assert abs(got.value - _mp_gamma_q(t, eps)) <= got.abs_error_estimate, \
+            (eps, t)
 
 
 def test_gamma_tail_rejects_shape_at_least_one():
@@ -118,6 +125,25 @@ def test_cpp_point_mass_is_poisson_sf():
         got = cf.cpp_exact_tail(2.0, jump, eps, 0.7)
         assert got.value == pytest.approx(
             float(stats.poisson.sf(expect_n - 1, 1.4)), rel=1e-12)
+
+
+@pytest.mark.parametrize("eps, n_min", [(1.5, 3), (1.5000000000001, 4)])
+def test_cpp_point_mass_boundary_is_exact(eps, n_min):
+    # three jumps of 0.5 reach 1.5 but fall short of 1.5000000000001
+    got = cf.cpp_exact_tail(1.0, cf.PointJump(0.5), eps, 1.0)
+    expect = float(mpmath.gammainc(n_min, 0, 1, regularized=True))
+    assert abs(got.value - expect) <= got.abs_error_estimate
+
+
+@pytest.mark.parametrize("lam, lo, hi, eps", [
+    (1.0, 1.0, 2.0, 1.0000000000005), (2.0, 0.5, 1.5, 1.0000000000004),
+])
+def test_cpp_uniform_boundary_just_above_n_lo(lam, lo, hi, eps):
+    # eps exceeds n lo by a few 1e-13, so n jumps clear it with a
+    # probability just below one
+    got = cf.cpp_exact_tail(lam, cf.UniformJump(lo, hi), eps, 1.0)
+    expect = float(oracles.cpp_uniform_tail(lam, lo, hi, eps, 1.0))
+    assert abs(got.value - expect) <= got.abs_error_estimate
 
 
 def test_cpp_uniform_below_support_is_one_jump():
