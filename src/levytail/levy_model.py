@@ -46,7 +46,6 @@ __all__ = [
     "LipschitzCert",
     "ClosedFunctionals",
     "PowerPart",
-    "FlatPart",
     "LevyModel",
     "ClassFunctionalBounds",
     "MembershipReport",
@@ -138,24 +137,26 @@ class LipschitzCert:
 
 @dataclass(frozen=True)
 class ClosedFunctionals:
-    """Optional closed-form overrides for the measure functionals."""
+    """Optional closed-form overrides for the measure functionals, the tail
+    and the exact sampler: ``sample(t, rng, n)`` draws n values of X_t."""
 
     lambda_: Optional[Callable[[float], float]] = None
     sigma2: Optional[Callable[[float], float]] = None
     drift: Optional[Callable[[float], float]] = None
     tail: Optional[Callable[[float, float], "closed_forms.ExactTail"]] = None
+    sample: Optional[Callable[[float, np.random.Generator, int], np.ndarray]] = None
 
 
 # === structured jump parts ===================================================
 #
-# Builtin densities are sums of elementary segments with closed-form band
-# masses and moments.  "both" parts are symmetric pairs; one-sided parts
-# carry their sign.
+# Builtin densities are sums of power segments with closed-form band masses
+# and moments.  "both" parts are symmetric pairs; one-sided parts carry their
+# sign.
 
 
 @dataclass(frozen=True)
 class PowerPart:
-    """coef * |x| ** -(1 + alpha) on lo < |x| <= hi."""
+    """coef * |x| ** -(1 + alpha) on lo < |x| <= hi; alpha = -1 is flat."""
 
     coef: float
     alpha: float
@@ -210,59 +211,7 @@ class PowerPart:
         return (self.lo, self.hi)
 
 
-@dataclass(frozen=True)
-class FlatPart:
-    """Constant ``height`` on lo < |x| <= hi."""
-
-    height: float
-    lo: float
-    hi: float
-    side: str = "both"
-
-    def density(self, x):
-        ax = np.abs(x)
-        inside = (ax > self.lo) & (ax <= self.hi)
-        if self.side == "pos":
-            inside = inside & (np.asarray(x) > 0)
-        elif self.side == "neg":
-            inside = inside & (np.asarray(x) < 0)
-        return np.where(inside, self.height, 0.0)
-
-    def _clip(self, a: float, b: float) -> tuple[float, float]:
-        return max(a, self.lo), min(b, self.hi)
-
-    def _nsides(self) -> int:
-        return 2 if self.side == "both" else 1
-
-    def mass(self, a: float, b: float) -> float:
-        x1, x2 = self._clip(a, b)
-        if x1 >= x2:
-            return 0.0
-        return self._nsides() * self.height * (x2 - x1)
-
-    def moment2(self, a: float, b: float) -> float:
-        x1, x2 = self._clip(a, b)
-        if x1 >= x2:
-            return 0.0
-        return self._nsides() * self.height * (x2 ** 3 - x1 ** 3) / 3.0
-
-    def moment1_signed(self, a: float, b: float) -> float:
-        if self.side == "both":
-            return 0.0
-        x1, x2 = self._clip(a, b)
-        if x1 >= x2:
-            return 0.0
-        m = self.height * (x2 ** 2 - x1 ** 2) / 2.0
-        return m if self.side == "pos" else -m
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return (self.lo, self.hi)
-
-
-JumpPart = PowerPart | FlatPart
-
-
-def _parts_density(parts: Sequence[JumpPart]) -> Callable:
+def _parts_density(parts: Sequence[PowerPart]) -> Callable:
     def density(x):
         total = sum(p.density(x) for p in parts)
         return total if isinstance(x, np.ndarray) else float(total)
@@ -287,7 +236,7 @@ class LevyModel:
     closed: Optional[ClosedFunctionals] = None
     tail_envelope: Optional[TailEnvelope] = None
     support_radius: Optional[float] = None
-    jump_parts: Optional[tuple[JumpPart, ...]] = None
+    jump_parts: Optional[tuple[PowerPart, ...]] = None
     name: str = "custom"
 
     def __post_init__(self) -> None:
@@ -422,6 +371,11 @@ def _closed_value(value: float) -> FunctionalValue:
                            source="closed_form")
 
 
+def _check_method(method: str) -> None:
+    if method not in ("auto", "closed_form", "quadrature"):
+        raise ValueError(f"unknown method {method!r}")
+
+
 # === functionals =============================================================
 
 
@@ -433,8 +387,7 @@ def lambda_(model: LevyModel, a: float, method: str = "auto") -> FunctionalValue
     """
     if a <= 0.0:
         raise InvalidCutoff(f"the cutoff a must be positive, got {a}")
-    if method not in ("auto", "closed_form", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
+    _check_method(method)
     if method != "quadrature":
         if model.closed is not None and model.closed.lambda_ is not None:
             return _closed_value(float(model.closed.lambda_(a)))
@@ -451,6 +404,7 @@ def lambda_band(model: LevyModel, a: float, b: float,
     """Band intensity: integral of f over a < |x| <= b."""
     if a <= 0.0 or b < a:
         raise InvalidCutoff(f"the band requires 0 < a <= b, got a={a}, b={b}")
+    _check_method(method)
     if method != "quadrature":
         if model.closed is not None and model.closed.lambda_ is not None:
             lam = model.closed.lambda_
@@ -467,6 +421,7 @@ def sigma2(model: LevyModel, a: float, method: str = "auto") -> FunctionalValue:
     """sigma2(a) = integral of x^2 f(x) over 0 < |x| <= a."""
     if a <= 0.0:
         raise InvalidCutoff(f"the cutoff a must be positive, got {a}")
+    _check_method(method)
     if method != "quadrature":
         if model.closed is not None and model.closed.sigma2 is not None:
             return _closed_value(float(model.closed.sigma2(a)))
@@ -488,6 +443,7 @@ def drift_b(model: LevyModel, eps: float, method: str = "auto") -> FunctionalVal
     """
     if eps <= 0.0:
         raise InvalidCutoff(f"eps must be positive, got {eps}")
+    _check_method(method)
     if model.variation is None:
         raise UndeclaredVariation(
             "drift_b requires the model to declare finite or infinite variation"
@@ -525,6 +481,7 @@ def band_moment1(model: LevyModel, a: float, b: float,
     """
     if a <= 0.0 or b < a:
         raise InvalidCutoff(f"the band requires 0 < a <= b, got a={a}, b={b}")
+    _check_method(method)
     if model.symmetric:
         return _closed_value(0.0)
     if method != "quadrature":
@@ -663,8 +620,8 @@ def cauchy() -> LevyModel:
     closed = ClosedFunctionals(
         lambda_=lambda a: 2.0 / (math.pi * a),
         sigma2=lambda a: 2.0 * a / math.pi,
-        drift=lambda eps: 0.0,
         tail=closed_forms.cauchy_tail,
+        sample=lambda t, rng, n: t * rng.standard_cauchy(n),
     )
     return LevyModel(
         density=_parts_density(parts),
@@ -695,6 +652,7 @@ def gamma() -> LevyModel:
         sigma2=lambda a: -math.expm1(-a) - a * math.exp(-a),
         drift=lambda eps: -math.expm1(-eps),
         tail=closed_forms.gamma_tail,
+        sample=lambda t, rng, n: rng.gamma(t, 1.0, size=n),
     )
     return LevyModel(
         density=density,
@@ -728,6 +686,8 @@ def inverse_gaussian() -> LevyModel:
         sigma2=lambda a: (_SQRT_PI / 2.0) * float(special.gammainc(1.5, a)),
         drift=lambda eps: _SQRT_PI * float(special.erf(math.sqrt(eps))),
         tail=closed_forms.ig_tail,
+        sample=lambda t, rng, n: rng.wald(t * _SQRT_PI, 2.0 * math.pi * t * t,
+                                          size=n),
     )
     return LevyModel(
         density=density,
@@ -742,16 +702,30 @@ def inverse_gaussian() -> LevyModel:
     )
 
 
+def _sample_stable(alpha: float, scale: float, t: float,
+                   rng: np.random.Generator, n: int) -> np.ndarray:
+    # Chambers-Mallows-Stuck for the symmetric case; the jump density
+    # scale |x|^-(1+alpha) corresponds to the stable scale parameter below.
+    sigma_t = (t * scale * math.pi
+               / (math.gamma(1.0 + alpha) * math.sin(math.pi * alpha / 2.0))
+               ) ** (1.0 / alpha)
+    phi = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=n)
+    if alpha == 1.0:
+        return sigma_t * np.tan(phi)
+    w = rng.standard_exponential(n)
+    core = (np.sin(alpha * phi) / np.cos(phi) ** (1.0 / alpha)
+            * (np.cos((1.0 - alpha) * phi) / w) ** ((1.0 - alpha) / alpha))
+    return sigma_t * core
+
+
 def stable(alpha: float, scale: float = 1.0) -> LevyModel:
     """Symmetric stable-type density f(x) = scale * |x| ** -(1 + alpha), all x."""
     if not 0.0 < alpha < 2.0:
         raise AlphaOutOfRange(f"stable alpha must lie in (0, 2), got {alpha}")
     parts = (PowerPart(coef=scale, alpha=alpha, lo=0.0, hi=math.inf),)
     closed = ClosedFunctionals(
-        lambda_=lambda a: 2.0 * scale * a ** -alpha / alpha,
-        sigma2=lambda a: 2.0 * scale * a ** (2.0 - alpha) / (2.0 - alpha),
-        drift=lambda eps: 0.0,
         tail=closed_forms.cauchy_tail if alpha == 1.0 and scale == 1.0 / math.pi else None,
+        sample=lambda t, rng, n: _sample_stable(alpha, scale, t, rng, n),
     )
     return LevyModel(
         density=_parts_density(parts),
@@ -815,11 +789,12 @@ def power_law(M: float, alpha: float, cut: float = 2.0) -> LevyModel:
 
 def cpp_uniform(lam: float, lo: float, hi: float,
                 class_alpha: float = 0.5) -> LevyModel:
-    """Compound Poisson with rate lam and jumps uniform on [lo, hi] (one-sided)."""
+    """Compound Poisson with rate lam and jumps uniform on [lo, hi] (one-sided),
+    whose jump density is a flat power part (alpha = -1)."""
     if lam <= 0.0 or lo < 0.0 or hi <= lo:
         raise InvalidCutoff("cpp requires lam > 0 and 0 <= lo < hi")
     height = lam / (hi - lo)
-    parts = (FlatPart(height=height, lo=lo, hi=hi, side="pos"),)
+    parts = (PowerPart(coef=height, alpha=-1.0, lo=lo, hi=hi, side="pos"),)
     if lo < 2.0:
         class_m = height * min(hi, 2.0) ** (1.0 + class_alpha)
     else:

@@ -1,7 +1,7 @@
 """Monte Carlo estimation of Levy tail probabilities.
 
-Sampling is exact for the built-in processes with known marginals (Cauchy,
-gamma, inverse Gaussian, stable, compound Poisson) and composed otherwise:
+Sampling is exact where the model declares a sampler (``closed.sample``) or
+its jump parts have finite mass (a compound Poisson), and composed otherwise:
 X_t = t b(1) + M_t(1) + Z_t(1), where Z_t(1) collects jumps beyond 1, and
 M_t(1) is approximated by a :class:`SmallJumpScheme` that simulates the
 compensated jumps above a cutoff delta and either discards the remainder or
@@ -28,9 +28,7 @@ from scipy import special, stats
 from . import bounds
 from .errors import SchemeInfeasible
 from .levy_model import (
-    FlatPart,
     LevyModel,
-    PowerPart,
     band_moment1,
     drift_b,
     lambda_,
@@ -146,14 +144,10 @@ def _signs(rng: np.random.Generator, part_side: str, n: int) -> np.ndarray:
 
 def _sample_part_band(part, lo: float, hi: float, rng: np.random.Generator,
                       n: int) -> np.ndarray:
-    a, b = max(lo, part.lo), min(hi, part.hi)
-    if isinstance(part, PowerPart):
-        al = part.alpha
-        u = rng.random(n)
-        ta, tb = a ** -al, (0.0 if math.isinf(b) else b ** -al)
-        r = (ta - u * (ta - tb)) ** (-1.0 / al)
-    else:
-        r = rng.uniform(a, b, size=n)
+    a, b, al = max(lo, part.lo), min(hi, part.hi), part.alpha
+    u = rng.random(n)
+    ta, tb = a ** -al, (0.0 if math.isinf(b) else b ** -al)
+    r = (ta - u * (ta - tb)) ** (-1.0 / al)
     return _signs(rng, part.side, n) * r
 
 
@@ -271,7 +265,12 @@ def _sample_band_rejection(model: LevyModel, lo: float, hi: float,
 def sample_compound_band(model: LevyModel, lo: float, hi: float, t: float,
                          rng: np.random.Generator, n: int) -> np.ndarray:
     """Per-path sums of the compound Poisson of jumps in lo < |x| <= hi."""
-    lam = lambda_band(model, lo, hi).value
+    return _compound_poisson(model, lo, hi, lambda_band(model, lo, hi).value,
+                             t, rng, n)
+
+
+def _compound_poisson(model: LevyModel, lo: float, hi: float, lam: float,
+                      t: float, rng: np.random.Generator, n: int) -> np.ndarray:
     if lam <= 0.0:
         return np.zeros(n)
     counts = rng.poisson(t * lam, size=n)
@@ -306,43 +305,18 @@ def sample_small_jumps(model: LevyModel, eps: float, t: float,
 
 # === exact marginal samplers =================================================
 
-_SQRT_PI = math.sqrt(math.pi)
-
-
-def _sample_stable(alpha: float, scale: float, t: float,
-                   rng: np.random.Generator, n: int) -> np.ndarray:
-    # Chambers-Mallows-Stuck for the symmetric case; the jump density
-    # scale |x|^-(1+alpha) corresponds to the stable scale parameter below.
-    sigma_t = (t * scale * math.pi
-               / (math.gamma(1.0 + alpha) * math.sin(math.pi * alpha / 2.0))
-               ) ** (1.0 / alpha)
-    phi = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=n)
-    if alpha == 1.0:
-        return sigma_t * np.tan(phi)
-    w = rng.standard_exponential(n)
-    core = (np.sin(alpha * phi) / np.cos(phi) ** (1.0 / alpha)
-            * (np.cos((1.0 - alpha) * phi) / w) ** ((1.0 - alpha) / alpha))
-    return sigma_t * core
-
 
 def _exact_sampler(model: LevyModel) -> Optional[Callable]:
-    name = model.name
-    if name == "cauchy":
-        return lambda t, rng, n: t * rng.standard_cauchy(n)
-    if name == "gamma":
-        return lambda t, rng, n: rng.gamma(t, 1.0, size=n)
-    if name == "inverse_gaussian":
-        return lambda t, rng, n: rng.wald(t * _SQRT_PI, 2.0 * math.pi * t * t,
-                                          size=n)
-    if name.startswith("stable("):
-        # the law is the model's own; class_alpha and class_M may be looser
-        (part,) = model.jump_parts
-        return lambda t, rng, n: _sample_stable(part.alpha, part.coef, t, rng, n)
-    if name.startswith("cpp(") and model.jump_parts is not None:
-        lo = min(p.lo for p in model.jump_parts)
-        return lambda t, rng, n: sample_compound_band(model, lo, math.inf,
-                                                      t, rng, n)
-    return None
+    # the model's declared sampler, else the compound Poisson of all jumps
+    # when every part has finite mass near 0
+    if model.closed is not None and model.closed.sample is not None:
+        return model.closed.sample
+    parts = model.jump_parts
+    if parts is None or not all(p.lo > 0.0 or p.alpha < 0.0 for p in parts):
+        return None
+    lam = sum(p.mass(0.0, math.inf) for p in parts)
+    return lambda t, rng, n: _compound_poisson(model, 0.0, math.inf, lam,
+                                               t, rng, n)
 
 
 def sample_increment(model: LevyModel, t: float, rng: np.random.Generator,

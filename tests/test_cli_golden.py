@@ -36,6 +36,20 @@ CASES = {
                           "--eps", "1.25", "--format", "json"],
     "simulate_seed_11": ["simulate", "--model", "cauchy", "--eps", "1",
                          "--t", "0.5", "--n", "20000", "--seed", "11"],
+    "functionals_stable": ["functionals", "--model", "stable(1.5,1)",
+                           "--eps", "0.7"],
+    "functionals_cpp": ["functionals", "--model", "cpp(2,uniform(0.5,1.5))",
+                        "--eps", "0.7"],
+    "simulate_cpp": ["simulate", "--model", "cpp(2,uniform(0.5,1.5))",
+                     "--eps", "1.2", "--t", "0.5", "--n", "20000",
+                     "--seed", "11"],
+    "simulate_gamma": ["simulate", "--model", "gamma", "--eps", "0.5",
+                       "--t", "0.3", "--n", "20000", "--seed", "11"],
+    "simulate_inverse_gaussian": ["simulate", "--model", "inverse_gaussian",
+                                  "--eps", "1", "--t", "0.5", "--n", "20000",
+                                  "--seed", "11"],
+    "simulate_stable": ["simulate", "--model", "stable(1.5,1)", "--eps", "1",
+                        "--t", "0.05", "--n", "20000", "--seed", "11"],
 }
 
 

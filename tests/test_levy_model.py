@@ -99,6 +99,19 @@ def test_closed_forms_of_builtins():
         math.sqrt(math.pi) * special.erf(math.sqrt(eps)), rel=1e-13)
 
 
+@pytest.mark.parametrize("functional, args", [
+    ("lambda_", (0.5,)),
+    ("lambda_band", (0.5, 1.5)),
+    ("sigma2", (0.5,)),
+    ("drift_b", (0.5,)),
+    ("band_moment1", (0.5, 1.5)),
+])
+@pytest.mark.parametrize("model", [lm.gamma(), lm.cauchy()], ids=lambda m: m.name)
+def test_functionals_reject_unknown_method(functional, args, model):
+    with pytest.raises(ValueError, match="unknown method"):
+        getattr(lm, functional)(model, *args, method="closedform")
+
+
 def test_lambda_band_splits_the_tail():
     model = lm.gamma()
     total = lm.lambda_(model, 0.3).value
@@ -233,7 +246,7 @@ class TestJumpParts:
         assert got == pytest.approx(math.log(3.0), rel=1e-14)
 
     def test_flat_part_closed_forms(self):
-        part = lm.FlatPart(height=2.0, lo=1.0, hi=2.0, side="pos")
+        part = lm.PowerPart(coef=2.0, alpha=-1.0, lo=1.0, hi=2.0, side="pos")
         assert part.mass(0.5, 3.0) == pytest.approx(2.0)
         assert part.moment2(0.0, 2.0) == pytest.approx(2.0 * 7.0 / 3.0)
         assert part.moment1_signed(1.0, 2.0) == pytest.approx(3.0)

@@ -91,6 +91,30 @@ def test_gamma_estimate_brackets_closed_truth():
     assert est.ci_low <= truth <= est.ci_high
 
 
+def test_renamed_model_keeps_its_exact_sampler():
+    kw = dict(eps=0.5, t=0.3, n=50_000, stream=SeededStream(5))
+    renamed = dataclasses.replace(gamma(), name="renamed")
+    assert estimate_tail_prob(renamed, **kw) == estimate_tail_prob(gamma(), **kw)
+
+
+def test_name_alone_does_not_select_an_exact_sampler():
+    # the gamma density without its closed forms, under the gamma name
+    model = dataclasses.replace(gamma(), closed=None)
+    assert model.name == "gamma"
+    rng = SeededStream(0).generator()
+    with pytest.raises(SchemeInfeasible, match="no exact sampler"):
+        sample_increment(model, 0.1, rng, 10)
+
+
+def test_cpp_with_jumps_from_zero_brackets_exact_tail():
+    model = parse_model("cpp(1,uniform(0,1))")
+    eps, t = 1.5, 0.5
+    truth = model.closed.tail(eps, t).value
+    est = estimate_tail_prob(model, eps, t, n=200_000, stream=SeededStream(13))
+    assert est.bias == 0.0
+    assert est.ci_low <= truth <= est.ci_high
+
+
 def test_shard_layouts_give_identical_estimates():
     model = cauchy()
     runs = [estimate_tail_prob(model, 1.0, 0.05, n=100_000,
@@ -111,9 +135,9 @@ def test_one_sided_count_never_exceeds_two_sided():
 
 
 def test_scheme_route_brackets_closed_truth():
-    # strip the name so the dispatch falls back to band simulation, then
-    # check against the closed Cauchy tail it still represents
-    model = dataclasses.replace(cauchy(), name="custom_cauchy")
+    # drop the closed forms so the dispatch falls back to band simulation,
+    # then check against the closed Cauchy tail it still represents
+    model = dataclasses.replace(cauchy(), closed=None)
     eps, t = 1.0, 0.05
     truth = cauchy().closed.tail(eps, t).value
     scheme = SmallJumpScheme(delta=1e-3, gaussian_refinement=True)
