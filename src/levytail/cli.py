@@ -140,16 +140,28 @@ def _model_from(settings: _Settings) -> _lm.LevyModel:
     return _lm.parse_model(settings.require("model"))
 
 
-def _scheme_from(settings: _Settings, eps: float) -> Optional[_sim.SmallJumpScheme]:
+def _mc_options(settings: _Settings, eps: float, method: str) -> dict:
+    """The Monte Carlo keywords of validate, rate and simulate; ``method`` is
+    the command's default interval.  Any scheme flag builds a scheme, whose
+    delta defaults to that of the default scheme at ``eps``."""
     delta = settings.get("delta", None, float)
     refine = settings.get("refine", False, bool)
     budget = settings.get("bias_budget", None, float)
-    if delta is None and not refine and budget is None:
-        return None
-    if delta is None:
-        delta = min(1e-3, eps / 8.0)
-    return _sim.SmallJumpScheme(delta=delta, gaussian_refinement=refine,
-                                bias_budget=budget)
+    scheme = None
+    if delta is not None or refine or budget is not None:
+        if delta is None:
+            delta = _sim.SmallJumpScheme.default(eps).delta
+        scheme = _sim.SmallJumpScheme(delta, refine, budget)
+    return dict(
+        stream=_sim.SeededStream(settings.get("seed", 0, int)),
+        n=settings.get("n", 10 ** 6, int),
+        shards=settings.get("shards", 1, int),
+        confidence=settings.get("confidence", 0.99, float),
+        method=settings.get("method", method),
+        scheme=scheme,
+        margin=settings.get("margin", None, float),
+        widen=settings.get("widen", "certified"),
+    )
 
 
 # === subcommands =============================================================
@@ -217,24 +229,12 @@ def _cmd_validate(settings: _Settings) -> int:
     model = _model_from(settings)
     eps_values = _parse_grid(settings.require("eps_grid"))
     t_grid = _parse_grid(settings.require("t_grid"))
-    truth = settings.get("truth", "closed")
-    stream = None
-    if truth == "mc":
-        stream = _sim.SeededStream(settings.get("seed", 0, int))
-    eps0 = min(eps_values)
     report = _harness.validate_bounds(
         model, eps_values, t_grid,
         theorem=settings.get("theorem", "auto"),
-        truth=truth,
-        stream=stream,
-        n=settings.get("n", 10 ** 6, int),
-        shards=settings.get("shards", 1, int),
-        confidence=settings.get("confidence", 0.99, float),
-        method=settings.get("method", "clopper_pearson"),
-        scheme=_scheme_from(settings, eps0),
-        margin=settings.get("margin", None, float),
-        widen=settings.get("widen", "certified"),
+        truth=settings.get("truth", "closed"),
         m1=settings.get("m1", None, float),
+        **_mc_options(settings, min(eps_values), "clopper_pearson"),
     )
     out = settings.get("out", None)
     fmt = settings.get("format", "csv")
@@ -258,19 +258,9 @@ def _cmd_rate(settings: _Settings) -> int:
     model = _model_from(settings)
     eps = settings.require("eps", float)
     t_grid = _parse_grid(settings.require("t_grid"))
-    truth = settings.get("truth", "closed")
-    stream = None
-    if truth == "mc":
-        stream = _sim.SeededStream(settings.get("seed", 0, int))
     curve = _harness.residual_curve(
-        model, eps, t_grid, truth=truth, stream=stream,
-        n=settings.get("n", 10 ** 6, int),
-        shards=settings.get("shards", 1, int),
-        confidence=settings.get("confidence", 0.99, float),
-        method=settings.get("method", "clopper_pearson"),
-        scheme=_scheme_from(settings, eps),
-        margin=settings.get("margin", None, float),
-        widen=settings.get("widen", "certified"),
+        model, eps, t_grid, truth=settings.get("truth", "closed"),
+        **_mc_options(settings, eps, "clopper_pearson"),
     )
     fit = _harness.fit_rate(curve)
     out = settings.get("out", None)
@@ -297,26 +287,13 @@ def _cmd_simulate(settings: _Settings) -> int:
     model = _model_from(settings)
     eps = settings.require("eps", float)
     t = settings.require("t", float)
-    n = settings.get("n", 10 ** 6, int)
-    stream = _sim.SeededStream(settings.get("seed", 0, int))
-    common = dict(
-        shards=settings.get("shards", 1, int),
-        confidence=settings.get("confidence", 0.99, float),
-        method=settings.get("method", "wilson"),
-        margin=settings.get("margin", None, float),
-        widen=settings.get("widen", "certified"),
-        side=settings.get("side", "abs"),
-    )
-    scheme = _scheme_from(settings, eps)
+    mc = _mc_options(settings, eps, "wilson")
+    side = settings.get("side", "abs")
     if settings.get("smalljump", False, bool):
-        if scheme is None:
-            scheme = _sim.SmallJumpScheme(delta=min(1e-3, eps / 8.0))
         est = _sim.estimate_smalljump_tail(
-            model, eps, t, n, stream, scheme,
-            x=settings.get("x", None, float), **common)
+            model, eps, t, x=settings.get("x", None, float), side=side, **mc)
     else:
-        est = _sim.estimate_tail_prob(model, eps, t, n, stream,
-                                      scheme=scheme, **common)
+        est = _sim.estimate_tail_prob(model, eps, t, side=side, **mc)
     _print_pairs([
         ("p_hat", est.p_hat),
         ("ci_low", est.ci_low),

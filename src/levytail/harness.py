@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .errors import (
     TruthUnavailable,
 )
 from .levy_model import (
-    ClosedFunctionals,
     LevyModel,
     PowerPart,
     lambda_,
@@ -134,15 +133,33 @@ class ResidualCurve:
     points: tuple[ResidualPoint, ...]
 
 
-def _closed_truth(model: LevyModel, eps: float, t: float) -> tuple[float, float, float]:
-    if model.closed is None or model.closed.tail is None:
-        raise TruthUnavailable(
-            f"model {model.name!r} declares no closed-form tail; use "
-            f"Monte Carlo truth instead"
-        )
-    exact = model.closed.tail(eps, t)
-    return exact.value, exact.value - exact.abs_error_estimate, \
-        exact.value + exact.abs_error_estimate
+def _truth_at(model: LevyModel, truth: str,
+              stream: Optional[_sim.SeededStream],
+              **mc) -> Callable[[float, float, int], tuple[float, float, float]]:
+    """Check the truth source once and return truth(eps, t, i) giving
+    (value, ci_low, ci_high); Monte Carlo point i draws on stream.child(i)
+    with the keywords ``mc`` of :func:`simulate.estimate_tail_prob`."""
+    if truth == "closed":
+        if model.closed is None or model.closed.tail is None:
+            raise TruthUnavailable(
+                f"model {model.name!r} declares no closed-form tail; use "
+                f"Monte Carlo truth instead"
+            )
+
+        def closed(eps: float, t: float, i: int) -> tuple[float, float, float]:
+            exact = model.closed.tail(eps, t)
+            return exact.value, exact.value - exact.abs_error_estimate, \
+                exact.value + exact.abs_error_estimate
+        return closed
+    if truth != "mc":
+        raise TruthUnavailable(f"unknown truth source {truth!r}")
+    if stream is None:
+        raise TruthUnavailable("Monte Carlo truth needs a seeded stream")
+
+    def monte_carlo(eps: float, t: float, i: int) -> tuple[float, float, float]:
+        est = _sim.estimate_tail_prob(model, eps, t, stream=stream.child(i), **mc)
+        return est.p_hat, est.ci_low, est.ci_high
+    return monte_carlo
 
 
 def residual_curve(model: LevyModel, eps: float, t_grid: Sequence[float],
@@ -158,22 +175,13 @@ def residual_curve(model: LevyModel, eps: float, t_grid: Sequence[float],
     ``truth="closed"`` uses the model's exact tail; ``truth="mc"`` estimates
     each point with ``n`` paths on ``stream.child(i)``.
     """
-    if truth not in ("closed", "mc"):
-        raise TruthUnavailable(f"unknown truth source {truth!r}")
-    if truth == "mc" and stream is None:
-        raise TruthUnavailable("Monte Carlo truth needs a seeded stream")
+    truth_at = _truth_at(model, truth, stream, n=n, shards=shards,
+                         confidence=confidence, method=method, scheme=scheme,
+                         margin=margin, widen=widen)
     lam = lambda_(model, eps).value
     pts = []
     for i, t in enumerate(sorted(float(v) for v in t_grid)):
-        if truth == "closed":
-            value, lo, hi = _closed_truth(model, eps, t)
-        else:
-            est = _sim.estimate_tail_prob(
-                model, eps, t, n, stream.child(i), shards=shards,
-                confidence=confidence, method=method, scheme=scheme,
-                margin=margin, widen=widen,
-            )
-            value, lo, hi = est.p_hat, est.ci_low, est.ci_high
+        value, lo, hi = truth_at(eps, t, i)
         pts.append(ResidualPoint(t=t, truth=value, ci_low=lo, ci_high=hi,
                                  lambda_t=lam * t, residual=value - lam * t))
     return ResidualCurve(eps=eps, lambda_eps=lam, truth_source=truth,
@@ -281,6 +289,9 @@ def validate_bounds(model: LevyModel, eps_values: Sequence[float],
     the excess above t lambda counts, since P <= t lambda_eps + bound by a
     union over the large-jump count.  Out-of-window points are SKIPped.
     """
+    truth_at = _truth_at(model, truth, stream, n=n, shards=shards,
+                         confidence=confidence, method=method, scheme=scheme,
+                         margin=margin, widen=widen)
     rows: list[ValidationRow] = []
     for k, eps in enumerate(eps_values):
         lam = lambda_(model, eps).value
@@ -289,19 +300,7 @@ def validate_bounds(model: LevyModel, eps_values: Sequence[float],
                 br = theorem_bound(model, eps, t, theorem, m1=m1)
             except InvalidCutoff:
                 continue  # theorem does not cover this eps at all
-            if truth == "closed":
-                value, lo, hi = _closed_truth(model, eps, t)
-            elif truth == "mc":
-                if stream is None:
-                    raise TruthUnavailable("Monte Carlo truth needs a seeded stream")
-                est = _sim.estimate_tail_prob(
-                    model, eps, t, n, stream.child(1000 * k + i),
-                    shards=shards, confidence=confidence, method=method,
-                    scheme=scheme, margin=margin, widen=widen,
-                )
-                value, lo, hi = est.p_hat, est.ci_low, est.ci_high
-            else:
-                raise TruthUnavailable(f"unknown truth source {truth!r}")
+            value, lo, hi = truth_at(eps, t, 1000 * k + i)
             if br.theorem in _PROBABILITY_THEOREMS:
                 certified = max(0.0, lo - lam * t)
             else:

@@ -185,7 +185,12 @@ class PowerPart:
         x1, x2 = self._clip(a, b)
         if x1 >= x2:
             return 0.0
-        return self._nsides() * self.coef * (x1 ** -self.alpha - x2 ** -self.alpha) / self.alpha
+        al = self.alpha
+        if al > 0.0:  # x1^-al - x2^-al without cancellation on narrow bands
+            diff = x1 ** -al * -math.expm1(-al * math.log1p((x2 - x1) / x1))
+        else:
+            diff = x1 ** -al - x2 ** -al
+        return self._nsides() * self.coef * diff / al
 
     def moment2(self, a: float, b: float) -> float:
         x1, x2 = self._clip(a, b)
@@ -615,26 +620,15 @@ _SQRT_PI = math.sqrt(math.pi)
 
 
 def cauchy() -> LevyModel:
-    """Cauchy process: f(x) = 1 / (pi x^2), lambda_a = 2/(pi a)."""
-    parts = (PowerPart(coef=1.0 / math.pi, alpha=1.0, lo=0.0, hi=math.inf),)
+    """Cauchy process: stable(1, 1/pi) with closed lambda_a = 2/(pi a),
+    sigma2(a) = 2a/pi and numpy's Cauchy sampler."""
     closed = ClosedFunctionals(
         lambda_=lambda a: 2.0 / (math.pi * a),
         sigma2=lambda a: 2.0 * a / math.pi,
         tail=closed_forms.cauchy_tail,
         sample=lambda t, rng, n: t * rng.standard_cauchy(n),
     )
-    return LevyModel(
-        density=_parts_density(parts),
-        symmetric=True,
-        variation="infinite",
-        class_alpha=1.0,
-        class_M=1.0 / math.pi,
-        global_M=1.0 / math.pi,
-        closed=closed,
-        tail_envelope=TailEnvelope(coef=2.0 / math.pi, rate=1.0, beyond=1.0, kind="power"),
-        jump_parts=parts,
-        name="cauchy",
-    )
+    return replace(stable(1.0, 1.0 / math.pi), closed=closed, name="cauchy")
 
 
 def gamma() -> LevyModel:

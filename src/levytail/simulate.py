@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from . import bounds
 from .errors import SchemeInfeasible
@@ -90,6 +90,12 @@ class SmallJumpScheme:
         if self.delta <= 0.0:
             raise SchemeInfeasible(f"delta must be positive, got {self.delta}")
 
+    @classmethod
+    def default(cls, eps: float) -> "SmallJumpScheme":
+        """The scheme used when none is given: delta = eps/8 capped at 1e-3,
+        no refinement and no budget."""
+        return cls(delta=min(1e-3, eps / 8.0))
+
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -113,7 +119,7 @@ class MCEstimate:
 
 
 def _wilson(k: int, n: int, confidence: float) -> tuple[float, float]:
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+    z = float(special.ndtri(0.5 + confidence / 2.0))
     p = k / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2.0 * n)) / denom
@@ -123,8 +129,8 @@ def _wilson(k: int, n: int, confidence: float) -> tuple[float, float]:
 
 def _clopper_pearson(k: int, n: int, confidence: float) -> tuple[float, float]:
     a = 1.0 - confidence
-    lo = 0.0 if k == 0 else float(stats.beta.ppf(a / 2.0, k, n - k + 1))
-    hi = 1.0 if k == n else float(stats.beta.ppf(1.0 - a / 2.0, k + 1, n - k))
+    lo = 0.0 if k == 0 else float(special.betaincinv(k, n - k + 1, a / 2.0))
+    hi = 1.0 if k == n else float(special.betaincinv(k + 1, n - k, 1.0 - a / 2.0))
     return lo, hi
 
 
@@ -370,42 +376,52 @@ def scheme_bias_bound(model: LevyModel, t: float, scheme: SmallJumpScheme,
     return min(1.0, jump_part(margin / 2.0) + gauss)
 
 
-def _count_exceedances(sampler: Callable, thresholds: tuple[float, float, float],
-                       n: int, stream: SeededStream, shards: int,
-                       side: str) -> tuple[int, int, int]:
-    lo_thr, mid_thr, hi_thr = thresholds
+def _estimate(model: LevyModel, eps: float, level: float, t: float, n: int,
+              stream: SeededStream, scheme: Optional[SmallJumpScheme],
+              exact: bool, draw: Callable, shards: int, confidence: float,
+              method: str, margin: Optional[float], widen: str,
+              side: str) -> MCEstimate:
+    # The one estimate path: exact draws use margin 0 and bias 0; otherwise
+    # the scheme (the default one when None) is certified at the margin
+    # (eps/100 when None) and held to its budget before anything is drawn.
+    # draw(scheme, rng, size) returns one block of values.
+    if n <= 0:
+        raise ValueError(f"n must be positive, got {n}")
+    if method not in _CI:
+        raise ValueError(
+            f"unknown CI method {method!r}; expected one of {sorted(_CI)}"
+        )
+    if exact:
+        scheme, m, beta = None, 0.0, 0.0
+    else:
+        scheme = scheme if scheme is not None else SmallJumpScheme.default(eps)
+        m = margin if margin is not None else eps / 100.0
+        beta = scheme_bias_bound(model, t, scheme, m)
+        if scheme.bias_budget is not None and beta > scheme.bias_budget:
+            raise SchemeInfeasible(
+                f"certified scheme bias {beta:g} exceeds the budget "
+                f"{scheme.bias_budget:g}; lower delta or enable refinement"
+            )
+    lo_thr, hi_thr = level - m, level + m
     c_lo = c_mid = c_hi = 0
     n_blocks = (n + BLOCK - 1) // BLOCK
     for shard in range(shards):
         for j in range(shard, n_blocks, shards):
             size = BLOCK if j < n_blocks - 1 else n - BLOCK * (n_blocks - 1)
-            rng = stream.block_generator(j)
-            xs = sampler(rng, size)
+            xs = draw(scheme, stream.block_generator(j), size)
             vals = np.abs(xs) if side == "abs" else xs
             c_lo += int((vals >= lo_thr).sum())
-            c_mid += int((vals >= mid_thr).sum())
+            c_mid += int((vals >= level).sum())
             c_hi += int((vals >= hi_thr).sum())
-    return c_lo, c_mid, c_hi
-
-
-def _assemble(c_lo: int, c_mid: int, c_hi: int, n: int, confidence: float,
-              method: str, beta: float, margin: float,
-              widen: str) -> MCEstimate:
-    try:
-        ci = _CI[method]
-    except KeyError:
-        raise ValueError(
-            f"unknown CI method {method!r}; expected one of {sorted(_CI)}"
-        ) from None
-    p_hat = c_mid / n
-    if widen == "certified" and (beta > 0.0 or margin > 0.0):
+    ci = _CI[method]
+    if widen == "certified" and (beta > 0.0 or m > 0.0):
         lo = max(0.0, ci(c_hi, n, confidence)[0] - beta)
         hi = min(1.0, ci(c_lo, n, confidence)[1] + beta)
     else:
         lo, hi = ci(c_mid, n, confidence)
-    return MCEstimate(p_hat=p_hat, n=n, ci_low=lo, ci_high=hi,
+    return MCEstimate(p_hat=c_mid / n, n=n, ci_low=lo, ci_high=hi,
                       confidence=confidence, method=method, bias=beta,
-                      margin=margin)
+                      margin=m)
 
 
 def estimate_tail_prob(model: LevyModel, eps: float, t: float, n: int,
@@ -417,60 +433,29 @@ def estimate_tail_prob(model: LevyModel, eps: float, t: float, n: int,
                        side: str = "abs") -> MCEstimate:
     """Monte Carlo estimate of P(|X_t| >= eps) with a shard-invariant stream.
 
-    For models without an exact sampler a default scheme (delta = min(1e-3,
-    eps/8), no refinement) is used unless one is provided; the certified
-    scheme bias and the threshold margin widen the interval unless
+    For models without an exact sampler the default scheme
+    (:meth:`SmallJumpScheme.default`) is used unless one is provided; the
+    certified scheme bias and the threshold margin widen the interval unless
     ``widen="plain"``, which keeps the plain binomial interval and only
     reports the certificate in ``bias``.
     """
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    exact = _exact_sampler(model) is not None
-    if exact:
-        beta, m = 0.0, 0.0
-        scheme = None
-    else:
-        if scheme is None:
-            scheme = SmallJumpScheme(delta=min(1e-3, eps / 8.0))
-        m = margin if margin is not None else eps / 100.0
-        beta = scheme_bias_bound(model, t, scheme, m)
-        if scheme.bias_budget is not None and beta > scheme.bias_budget:
-            raise SchemeInfeasible(
-                f"certified scheme bias {beta:g} exceeds the budget "
-                f"{scheme.bias_budget:g}; lower delta or enable refinement"
-            )
-
-    def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        return sample_increment(model, t, rng, size, scheme)
-
-    counts = _count_exceedances(sampler, (eps - m, eps, eps + m), n, stream,
-                                shards, side)
-    return _assemble(*counts, n, confidence, method, beta, m, widen)
+    return _estimate(
+        model, eps, eps, t, n, stream, scheme, _exact_sampler(model) is not None,
+        lambda s, rng, size: sample_increment(model, t, rng, size, s),
+        shards, confidence, method, margin, widen, side)
 
 
 def estimate_smalljump_tail(model: LevyModel, eps: float, t: float, n: int,
-                            stream: SeededStream, scheme: SmallJumpScheme,
+                            stream: SeededStream,
+                            scheme: Optional[SmallJumpScheme] = None,
                             x: Optional[float] = None, shards: int = 1,
                             confidence: float = 0.99, method: str = "wilson",
                             margin: Optional[float] = None,
                             widen: str = "certified",
                             side: str = "abs") -> MCEstimate:
     """Monte Carlo estimate of P(|M_t(eps)| >= x) (or one-sided with
-    side="pos"), x defaulting to eps."""
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    level = eps if x is None else x
-    m = margin if margin is not None else eps / 100.0
-    beta = scheme_bias_bound(model, t, scheme, m)
-    if scheme.bias_budget is not None and beta > scheme.bias_budget:
-        raise SchemeInfeasible(
-            f"certified scheme bias {beta:g} exceeds the budget "
-            f"{scheme.bias_budget:g}; lower delta or enable refinement"
-        )
-
-    def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        return sample_small_jumps(model, eps, t, scheme, rng, size)
-
-    counts = _count_exceedances(sampler, (level - m, level, level + m), n,
-                                stream, shards, side)
-    return _assemble(*counts, n, confidence, method, beta, m, widen)
+    side="pos"), x defaulting to eps and the scheme to the default one."""
+    return _estimate(
+        model, eps, eps if x is None else x, t, n, stream, scheme, False,
+        lambda s, rng, size: sample_small_jumps(model, eps, t, s, rng, size),
+        shards, confidence, method, margin, widen, side)

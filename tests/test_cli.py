@@ -292,6 +292,15 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 2
 
 
+def test_validate_without_usable_truth_is_exit_two(capsys):
+    code, out, err = run(capsys, "validate", "--model", "power_law(1,0.5)",
+                         "--eps-grid", "5", "--t-grid", "0.01",
+                         "--theorem", "ps1")
+    assert code == 2
+    assert "closed-form tail" in err
+    assert "pass=" not in out
+
+
 def test_no_applicable_bound_is_exit_four(capsys):
     code, _, err = run(capsys, "bound", "--model", "gamma; variation=infinite",
                        "--eps", "0.5", "--t", "0.01", "--theorem", "auto")

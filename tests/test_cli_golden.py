@@ -50,6 +50,38 @@ CASES = {
                                   "--seed", "11"],
     "simulate_stable": ["simulate", "--model", "stable(1.5,1)", "--eps", "1",
                         "--t", "0.05", "--n", "20000", "--seed", "11"],
+    # Monte Carlo through the small-jump scheme
+    "simulate_power_law_budget": ["simulate", "--model", "power_law(1,0.5)",
+                                  "--eps", "0.75", "--t", "0.01",
+                                  "--n", "40000", "--seed", "3",
+                                  "--delta", "1e-3", "--bias-budget", "1"],
+    "simulate_tempered_stable": ["simulate", "--model",
+                                 "tempered_stable(1.2,1)", "--eps", "0.75",
+                                 "--t", "0.002", "--n", "40000",
+                                 "--seed", "4"],
+    "simulate_power_law_refine_cp": ["simulate", "--model", "power_law(1,0.5)",
+                                     "--eps", "0.75", "--t", "0.01",
+                                     "--n", "40000", "--seed", "5", "--refine",
+                                     "--method", "clopper_pearson"],
+    "simulate_smalljump_json": ["simulate", "--smalljump", "--model",
+                                "power_law(1,0.5)", "--eps", "0.75",
+                                "--t", "0.01", "--n", "40000", "--seed", "6",
+                                "--format", "json"],
+    "simulate_smalljump_pos_plain": ["simulate", "--smalljump", "--model",
+                                     "power_law(1,0.5)", "--eps", "0.5",
+                                     "--x", "0.4", "--t", "0.01",
+                                     "--n", "40000", "--seed", "7",
+                                     "--side", "pos", "--widen", "plain",
+                                     "--delta", "1e-3"],
+    "validate_tempered_stable_mc_json": ["validate", "--model",
+                                         "tempered_stable(0.5,1)",
+                                         "--eps-grid", "0.5,0.75",
+                                         "--t-grid", "1e-3:1e-2:3",
+                                         "--truth", "mc", "--n", "20000",
+                                         "--seed", "9", "--format", "json"],
+    "rate_cpp_mc": ["rate", "--model", "cpp(2,uniform(0.5,1.5))",
+                    "--eps", "1.2", "--t-grid", "0.05:1:6", "--truth", "mc",
+                    "--n", "100000", "--seed", "11"],
 }
 
 

@@ -212,6 +212,20 @@ def test_validate_bounds_probability_theorem_uses_one_sided_slack():
         assert row.theorem == "ps2"
 
 
+@pytest.mark.parametrize("truth, stream, match", [
+    ("bogus", SeededStream(0), "unknown truth"),
+    ("mc", None, "seeded stream"),
+    ("closed", None, "closed-form tail"),
+])
+def test_validate_bounds_rejects_unusable_truth_before_any_row(truth, stream,
+                                                              match):
+    # eps = 5 lies outside ps1's domain, so the loop alone would emit no row
+    # and report a pass
+    with pytest.raises(TruthUnavailable, match=match):
+        hn.validate_bounds(power_law(1.0, 0.5), [5.0], [0.01], theorem="ps1",
+                           truth=truth, stream=stream)
+
+
 def test_validate_bounds_mc_truth():
     report = hn.validate_bounds(cauchy(), [1.0], [0.02, 0.05], truth="mc",
                                 stream=SeededStream(13), n=50_000,

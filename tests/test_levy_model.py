@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -215,6 +216,17 @@ def test_undeclared_variation_blocks_drift():
 # === jump parts ==============================================================
 
 
+def test_cauchy_is_stable_one_with_its_own_closed_forms():
+    c, s = lm.cauchy(), lm.stable(1.0, 1.0 / math.pi)
+    assert dataclasses.replace(c, name=s.name, closed=s.closed,
+                               density=s.density) == s
+    x = np.array([-3.0, -0.2, 0.5, 7.0])
+    assert np.array_equal(c.density(x), s.density(x))
+    assert c.name == "cauchy"
+    assert c.closed.lambda_(0.8) == 2.0 / (math.pi * 0.8)
+    assert c.closed.sigma2(0.8) == 2.0 * 0.8 / math.pi
+
+
 class TestJumpParts:
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=0.1, max_value=3.0),
@@ -239,6 +251,28 @@ class TestJumpParts:
         expect = integrate.quad(lambda x: x * x * coef * x ** -(1 + alpha),
                                 0.0, hi, epsabs=1e-13, epsrel=1e-11)[0]
         assert got == pytest.approx(expect, rel=1e-7)
+
+    def test_narrow_band_mass_is_within_its_estimate_of_mpmath(self):
+        # x1^-a - x2^-a cancels when x2 is near x1; the closed value's
+        # 4-ulp estimate must still cover the 40-digit reference
+        mpmath.mp.dps = 40
+        rng = np.random.default_rng(12)
+        for _ in range(3000):
+            alpha, coef = rng.uniform(0.05, 1.95), rng.uniform(0.1, 3.0)
+            a = rng.uniform(0.01, 3.0)
+            b = a * rng.uniform(1.0, 3.0)
+            got = lm.lambda_band(lm.stable(alpha, coef), a, b)
+            al = mpmath.mpf(alpha)
+            ref = 2 * mpmath.mpf(coef) * (mpmath.mpf(a) ** -al
+                                          - mpmath.mpf(b) ** -al) / al
+            assert abs(got.value - ref) <= got.abs_error_estimate, (alpha, coef, a, b)
+
+    def test_power_part_mass_to_infinity_is_the_plain_power(self):
+        rng = np.random.default_rng(13)
+        for _ in range(2000):
+            alpha, a = rng.uniform(0.05, 1.95), rng.uniform(1e-3, 10.0)
+            part = lm.PowerPart(coef=1.5, alpha=alpha, lo=0.0, hi=math.inf)
+            assert part.mass(a, math.inf) == 2 * 1.5 * a ** -alpha / alpha
 
     def test_power_part_log_moment_at_alpha_one(self):
         part = lm.PowerPart(coef=1.0, alpha=1.0, lo=0.0, hi=2.0, side="pos")

@@ -2,10 +2,13 @@
 
 import dataclasses
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from levytail import simulate as sim
 from levytail.errors import SchemeInfeasible
@@ -233,6 +236,63 @@ def test_estimate_fields_and_ci_methods():
                            method="jeffreys")
     with pytest.raises(ValueError):
         estimate_tail_prob(model, 1.0, 0.05, n=0, stream=SeededStream(0))
+
+
+def test_bad_ci_method_is_rejected_before_sampling(monkeypatch):
+    calls = []
+    real = sim.sample_increment
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "sample_increment", counting)
+    with pytest.raises(ValueError, match="unknown CI method"):
+        estimate_tail_prob(cauchy(), 1.0, 0.05, n=4 * 10 ** 6,
+                           stream=SeededStream(0), method="jeffreys")
+    assert calls == []
+    with pytest.raises(ValueError, match="unknown CI method"):
+        estimate_smalljump_tail(power_law(1.0, 0.5), 0.5, 0.01, n=10 ** 6,
+                                stream=SeededStream(0), method="jeffreys")
+    estimate_tail_prob(cauchy(), 1.0, 0.05, n=100, stream=SeededStream(0))
+    assert calls == [1]
+
+
+def test_smalljump_scheme_defaults_to_the_default_scheme():
+    model = power_law(1.0, 0.5)
+    kw = dict(eps=0.75, t=0.01, n=20_000, stream=SeededStream(6))
+    assert estimate_smalljump_tail(model, **kw) == estimate_smalljump_tail(
+        model, scheme=SmallJumpScheme.default(0.75), **kw)
+    assert SmallJumpScheme.default(0.004).delta == 0.0005
+    assert SmallJumpScheme.default(1.0) == SmallJumpScheme(delta=1e-3)
+
+
+def test_intervals_match_scipy_stats_bit_for_bit():
+    rng = np.random.default_rng(20)
+    for _ in range(2000):
+        n = int(rng.integers(1, 10 ** 7))
+        k = int(rng.integers(0, n + 1))
+        conf = float(rng.uniform(0.5, 0.999999))
+        z = float(stats.norm.ppf(0.5 + conf / 2.0))
+        p = k / n
+        denom = 1.0 + z * z / n
+        center = (p + z * z / (2.0 * n)) / denom
+        half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
+        assert sim._wilson(k, n, conf) == (max(0.0, center - half),
+                                           min(1.0, center + half))
+        a = 1.0 - conf
+        lo = 0.0 if k == 0 else float(stats.beta.ppf(a / 2.0, k, n - k + 1))
+        hi = 1.0 if k == n else float(stats.beta.ppf(1.0 - a / 2.0, k + 1,
+                                                     n - k))
+        assert sim._clopper_pearson(k, n, conf) == (lo, hi)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = ("import sys, levytail.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestStreamProperties:
