@@ -147,6 +147,45 @@ class ClosedFunctionals:
     sample: Optional[Callable[[float, np.random.Generator, int], np.ndarray]] = None
 
 
+# === densities ===============================================================
+#
+# Quadrature, membership checks and the envelope probe call a density with one
+# float; the rejection sampler calls it with arrays.  A float takes numpy's
+# ufuncs on the scalar (not Python's ``**`` or ``math.exp``, which round
+# differently on some points), so it gets the array path's bits without an
+# array round trip.
+
+# |x| ** -3 <= 1e270 above _TINY, so there a kernel (a pole of order below 3
+# times a coefficient below 1e38) cannot overflow and a float skips the
+# cost of np.errstate.
+_TINY = 1e-90
+
+
+def _on_band(x, kernel: Callable, lo: float = 0.0, hi: float = math.inf,
+             side: str = "both"):
+    """kernel(|x|) on lo < |x| <= hi and the side ("both", "pos", "neg"), else 0.
+
+    A float gives a float; anything else is read as an array and gives an
+    array (a float for 0-d input).  Both are quiet about overflow at the pole.
+    """
+    if isinstance(x, float):
+        ax = abs(x)
+        if not lo < ax <= hi or (side != "both" and (x > 0) != (side == "pos")):
+            return 0.0
+        if ax >= _TINY:
+            return float(kernel(ax))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return float(kernel(ax))
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    inside = (ax > lo) & (ax <= hi)
+    if side != "both":
+        inside &= (x > 0) if side == "pos" else (x < 0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        vals = np.where(inside, kernel(np.where(ax > 0, ax, 1.0)), 0.0)
+    return vals if vals.ndim else float(vals)
+
+
 # === structured jump parts ===================================================
 #
 # Builtin densities are sums of power segments with closed-form band masses
@@ -165,15 +204,9 @@ class PowerPart:
     side: str = "both"  # "both", "pos" or "neg"
 
     def density(self, x):
-        ax = np.abs(x)
-        inside = (ax > self.lo) & (ax <= self.hi)
-        if self.side == "pos":
-            inside = inside & (np.asarray(x) > 0)
-        elif self.side == "neg":
-            inside = inside & (np.asarray(x) < 0)
-        with np.errstate(divide="ignore", over="ignore"):
-            vals = self.coef * np.where(ax > 0, ax, 1.0) ** -(1.0 + self.alpha)
-        return np.where(inside, vals, 0.0)
+        e = -(1.0 + self.alpha)
+        return _on_band(x, lambda a: self.coef * np.power(a, e),
+                        self.lo, self.hi, self.side)
 
     def _clip(self, a: float, b: float) -> tuple[float, float]:
         return max(a, self.lo), min(b, self.hi)
@@ -217,11 +250,7 @@ class PowerPart:
 
 
 def _parts_density(parts: Sequence[PowerPart]) -> Callable:
-    def density(x):
-        total = sum(p.density(x) for p in parts)
-        return total if isinstance(x, np.ndarray) else float(total)
-
-    return density
+    return lambda x: sum(p.density(x) for p in parts)
 
 
 # === the model ===============================================================
@@ -295,22 +324,25 @@ def _probe_tail_envelope(model: LevyModel, start: float) -> None:
             )
 
 
-def _side_integral(model: LevyModel, sign: int, weight: int,
-                   lo: float, hi: float) -> tuple[float, float]:
-    """Integral of x**weight * f(sign * x) dx over [lo, hi], 0 <= lo <= hi."""
-    f = model.density
+def _segment_edges(model: LevyModel, lo: float, hi: float) -> list[float]:
+    """Quadrature segment edges on [lo, hi], cut at the density's breakpoints;
+    empty when the range is."""
     if model.support_radius is not None:
         hi = min(hi, model.support_radius)
     if hi <= lo:
-        return 0.0, 0.0
-
+        return []
     breaks = {2.0, model.envelope().beyond}
     if model.jump_parts:
         for part in model.jump_parts:
             breaks.update(part.breakpoints())
     cuts = sorted(b for b in breaks if lo < b < hi and math.isfinite(b))
-    edges = [lo, *cuts, hi]
+    return [lo, *cuts, hi]
 
+
+def _side_integral(model: LevyModel, sign: int, weight: int,
+                   edges: list[float]) -> tuple[float, float]:
+    """Integral of x**weight * f(sign * x) dx over the segments between edges."""
+    f = model.density
     total, toterr = 0.0, 0.0
     for x1, x2 in zip(edges[:-1], edges[1:]):
         if x1 == 0.0:
@@ -336,8 +368,6 @@ def _side_integral(model: LevyModel, sign: int, weight: int,
             else:
                 err += math.inf
         elif math.isinf(x2):
-            _probe_tail_envelope(model, x1)
-
             def g(v, _s=sign, _w=weight):
                 x = 1.0 / v
                 return float(f(_s * x)) * x ** _w / (v * v)
@@ -355,8 +385,12 @@ def _side_integral(model: LevyModel, sign: int, weight: int,
 
 def _both_sides(model: LevyModel, weight: int, lo: float, hi: float,
                 signed: bool = False) -> tuple[float, float]:
-    pos, pos_err = _side_integral(model, +1, weight, lo, hi)
-    neg, neg_err = _side_integral(model, -1, weight, lo, hi)
+    edges = _segment_edges(model, lo, hi)
+    if edges and math.isinf(edges[-1]):
+        # the probe reads f(x) + f(-x), so one probe serves both sides
+        _probe_tail_envelope(model, edges[-2])
+    pos, pos_err = _side_integral(model, +1, weight, edges)
+    neg, neg_err = _side_integral(model, -1, weight, edges)
     if signed:
         return pos - neg, pos_err + neg_err
     return pos + neg, pos_err + neg_err
@@ -636,10 +670,7 @@ def gamma() -> LevyModel:
     from scipy import special
 
     def density(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            vals = np.where(x > 0, np.exp(-np.where(x > 0, x, 1.0)) / np.where(x > 0, x, 1.0), 0.0)
-        return vals if vals.ndim else float(vals)
+        return _on_band(x, lambda a: np.exp(-a) / a, side="pos")
 
     closed = ClosedFunctionals(
         lambda_=lambda a: float(special.exp1(a)),
@@ -666,11 +697,7 @@ def inverse_gaussian() -> LevyModel:
     from scipy import special
 
     def density(x):
-        x = np.asarray(x, dtype=float)
-        safe = np.where(x > 0, x, 1.0)
-        with np.errstate(over="ignore"):
-            vals = np.where(x > 0, np.exp(-safe) * safe ** -1.5, 0.0)
-        return vals if vals.ndim else float(vals)
+        return _on_band(x, lambda a: np.exp(-a) * np.power(a, -1.5), side="pos")
 
     closed = ClosedFunctionals(
         # integration by parts: integral_a^inf e^-x x^(-3/2) dx
@@ -743,11 +770,8 @@ def tempered_stable(alpha: float, theta: float) -> LevyModel:
         raise NonIntegrableTail("tempered_stable requires theta > 0")
 
     def density(x):
-        x = np.asarray(x, dtype=float)
-        ax = np.abs(x)
-        safe = np.where(ax > 0, ax, 1.0)
-        vals = np.where(ax > 0, safe ** -(1.0 + alpha) * np.exp(-theta * safe), 0.0)
-        return vals if vals.ndim else float(vals)
+        return _on_band(
+            x, lambda a: np.power(a, -(1.0 + alpha)) * np.exp(-theta * a))
 
     return LevyModel(
         density=density,

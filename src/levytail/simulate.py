@@ -296,17 +296,31 @@ def sample_small_jumps(model: LevyModel, eps: float, t: float,
     Simulates the compensated compound Poisson of jumps in (delta, eps] and,
     under Gaussian refinement, adds N(0, t sigma2(delta)) for the remainder.
     """
+    return _small_jump_draw(model, eps, t, scheme)(rng, n)
+
+
+def _small_jump_draw(model: LevyModel, eps: float, t: float,
+                     scheme: SmallJumpScheme) -> Callable:
+    # the scheme's functionals once; the returned draw(rng, n) makes the draws
     if scheme.delta >= eps:
         raise SchemeInfeasible(
             f"scheme delta {scheme.delta:g} must lie below eps {eps:g}"
         )
-    out = sample_compound_band(model, scheme.delta, eps, t, rng, n)
-    if not model.symmetric:
-        out = out - t * band_moment1(model, scheme.delta, eps).value
-    if scheme.gaussian_refinement:
-        s2 = sigma2(model, scheme.delta).value
-        out = out + rng.normal(0.0, math.sqrt(t * s2), size=n)
-    return out
+    d = scheme.delta
+    lam = lambda_band(model, d, eps).value
+    shift = None if model.symmetric else t * band_moment1(model, d, eps).value
+    sd = math.sqrt(t * sigma2(model, d).value) \
+        if scheme.gaussian_refinement else None
+
+    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
+        out = _compound_poisson(model, d, eps, lam, t, rng, n)
+        if shift is not None:
+            out = out - shift
+        if sd is not None:
+            out = out + rng.normal(0.0, sd, size=n)
+        return out
+
+    return draw
 
 
 # === exact marginal samplers =================================================
@@ -333,17 +347,25 @@ def sample_increment(model: LevyModel, t: float, rng: np.random.Generator,
     The composed route needs a scheme and assembles t b(1) + M_t(1) + Z_t(1)
     with the jumps beyond 1 simulated exactly.
     """
+    return _increment_draw(model, t, scheme)(rng, n)
+
+
+def _increment_draw(model: LevyModel, t: float,
+                    scheme: Optional[SmallJumpScheme]) -> Callable:
+    # the route and its functionals once; the returned draw(rng, n) draws X_t
     exact = _exact_sampler(model)
     if exact is not None:
-        return exact(t, rng, n)
+        return lambda rng, n: exact(t, rng, n)
     if scheme is None:
         raise SchemeInfeasible(
             f"model {model.name!r} has no exact sampler; pass a SmallJumpScheme"
         )
     shift = 0.0 if model.symmetric else t * drift_b(model, 1.0).value
-    small = sample_small_jumps(model, 1.0, t, scheme, rng, n)
-    big = sample_compound_band(model, 1.0, math.inf, t, rng, n)
-    return shift + small + big
+    small = _small_jump_draw(model, 1.0, t, scheme)
+    lam = lambda_band(model, 1.0, math.inf).value
+    return lambda rng, n: (shift + small(rng, n)
+                           + _compound_poisson(model, 1.0, math.inf, lam,
+                                               t, rng, n))
 
 
 # === tail estimation =========================================================
@@ -378,13 +400,14 @@ def scheme_bias_bound(model: LevyModel, t: float, scheme: SmallJumpScheme,
 
 def _estimate(model: LevyModel, eps: float, level: float, t: float, n: int,
               stream: SeededStream, scheme: Optional[SmallJumpScheme],
-              exact: bool, draw: Callable, shards: int, confidence: float,
-              method: str, margin: Optional[float], widen: str,
-              side: str) -> MCEstimate:
+              exact: bool, make_draw: Callable, shards: int,
+              confidence: float, method: str, margin: Optional[float],
+              widen: str, side: str) -> MCEstimate:
     # The one estimate path: exact draws use margin 0 and bias 0; otherwise
     # the scheme (the default one when None) is certified at the margin
     # (eps/100 when None) and held to its budget before anything is drawn.
-    # draw(scheme, rng, size) returns one block of values.
+    # make_draw(scheme) computes the functionals the draws need once and
+    # returns draw(rng, size), which draws one block of values.
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
     if method not in _CI:
@@ -402,13 +425,14 @@ def _estimate(model: LevyModel, eps: float, level: float, t: float, n: int,
                 f"certified scheme bias {beta:g} exceeds the budget "
                 f"{scheme.bias_budget:g}; lower delta or enable refinement"
             )
+    draw = make_draw(scheme)
     lo_thr, hi_thr = level - m, level + m
     c_lo = c_mid = c_hi = 0
     n_blocks = (n + BLOCK - 1) // BLOCK
     for shard in range(shards):
         for j in range(shard, n_blocks, shards):
             size = BLOCK if j < n_blocks - 1 else n - BLOCK * (n_blocks - 1)
-            xs = draw(scheme, stream.block_generator(j), size)
+            xs = draw(stream.block_generator(j), size)
             vals = np.abs(xs) if side == "abs" else xs
             c_lo += int((vals >= lo_thr).sum())
             c_mid += int((vals >= level).sum())
@@ -441,7 +465,7 @@ def estimate_tail_prob(model: LevyModel, eps: float, t: float, n: int,
     """
     return _estimate(
         model, eps, eps, t, n, stream, scheme, _exact_sampler(model) is not None,
-        lambda s, rng, size: sample_increment(model, t, rng, size, s),
+        lambda s: _increment_draw(model, t, s),
         shards, confidence, method, margin, widen, side)
 
 
@@ -457,5 +481,5 @@ def estimate_smalljump_tail(model: LevyModel, eps: float, t: float, n: int,
     side="pos"), x defaulting to eps and the scheme to the default one."""
     return _estimate(
         model, eps, eps if x is None else x, t, n, stream, scheme, False,
-        lambda s, rng, size: sample_small_jumps(model, eps, t, s, rng, size),
+        lambda s: _small_jump_draw(model, eps, t, s),
         shards, confidence, method, margin, widen, side)

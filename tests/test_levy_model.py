@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
 from levytail import levy_model as lm
+from levytail.harness import discontinuous_example
 from levytail.errors import (
     InvalidCutoff,
     NonIntegrableTail,
@@ -195,6 +197,60 @@ def test_custom_density_with_declared_envelope():
     expect = 2.0 * integrate.quad(
         lambda x: math.exp(-x) * x ** -0.5, 0.25, np.inf)[0]
     assert got == pytest.approx(expect, rel=1e-9)
+
+
+def test_tail_heavy_on_the_negative_side_only_is_detected():
+    # the probe reads f(x) + f(-x) once per functional; a density that is
+    # light for x > 0 and heavy for x < 0 must still fail it
+    lopsided = lm.LevyModel(
+        density=lambda x: math.exp(-x) if x > 0 else 1.0 / (1.0 + x * x),
+        symmetric=False,
+        variation="infinite",
+        class_alpha=1.0,
+        class_M=1.0,
+        name="lopsided",
+    )
+    with pytest.raises(NonIntegrableTail):
+        lm.lambda_(lopsided, 0.5, method="quadrature")
+
+
+# === the float density path ==================================================
+
+FLOAT_PATH_MODELS = [
+    lm.cauchy(),
+    lm.stable(1.5, 1.0),
+    lm.power_law(1.0, 1.5),
+    lm.cpp_uniform(2.0, 0.5, 1.5),
+    discontinuous_example(1.5, 1.0),
+    lm.gamma(),
+    lm.inverse_gaussian(),
+    lm.tempered_stable(0.5, 1.0),
+    lm.tempered_stable(1.2, 1.0),
+]
+
+
+def _float_path_grid(model) -> list[float]:
+    mags = np.exp(np.random.default_rng(14).uniform(
+        math.log(1e-13), math.log(1e3), 10_000))
+    edges = {0.0, 1e-200, 1e-300, 5e-324}  # the last three reach the pole
+    for part in model.jump_parts or ():
+        edges.update((part.lo, part.hi))
+    xs = [float(x) for x in mags] + sorted(edges)
+    return xs + [-x for x in xs]
+
+
+@pytest.mark.parametrize("model", FLOAT_PATH_MODELS, ids=lambda m: m.name)
+def test_float_density_path_is_bit_identical_to_the_array_path(model):
+    xs = _float_path_grid(model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # neither path may warn, even at 0
+        via_array = [float(model.density(np.asarray(x))) for x in xs]
+        via_float = [model.density(x) for x in xs]
+        via_vector = model.density(np.array(xs))  # the rejection sampler's call
+    assert all(type(v) is float for v in via_float)
+    mismatched = [x for x, a, f, v in zip(xs, via_array, via_float, via_vector)
+                  if not a.hex() == f.hex() == float(v).hex()]
+    assert mismatched == []
 
 
 def test_invalid_cutoffs_raise():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+import levytail
 from levytail import simulate as sim
 from levytail.errors import SchemeInfeasible
 from levytail.levy_model import cauchy, gamma, parse_model, power_law, stable
@@ -239,14 +241,21 @@ def test_estimate_fields_and_ci_methods():
 
 
 def test_bad_ci_method_is_rejected_before_sampling(monkeypatch):
+    # count the blocks drawn: the estimate builds its draw once and calls it
+    # once per block
     calls = []
-    real = sim.sample_increment
+    real = sim._increment_draw
 
     def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+        draw = real(*args, **kwargs)
 
-    monkeypatch.setattr(sim, "sample_increment", counting)
+        def counted(rng, n):
+            calls.append(1)
+            return draw(rng, n)
+
+        return counted
+
+    monkeypatch.setattr(sim, "_increment_draw", counting)
     with pytest.raises(ValueError, match="unknown CI method"):
         estimate_tail_prob(cauchy(), 1.0, 0.05, n=4 * 10 ** 6,
                            stream=SeededStream(0), method="jeffreys")
@@ -290,8 +299,11 @@ def test_intervals_match_scipy_stats_bit_for_bit():
 def test_cli_import_leaves_scipy_stats_unloaded():
     code = ("import sys, levytail.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    # the child imports the levytail under test, wherever pytest found it
+    src = os.path.dirname(os.path.dirname(levytail.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout
+                         text=True, check=True, env=env).stdout
     assert out.strip() == "[]"
 
 
