@@ -328,7 +328,10 @@ _OPTIONS = {
     "method": dict(choices=("wilson", "clopper_pearson"),
                    help="binomial interval"),
     "truth": dict(choices=("closed", "mc"), help="truth source"),
-    "theorem": dict(help="bound selector (default auto)"),
+    "theorem": dict(help="bound selector: auto (default), ps1, teo1, ps2, "
+                         "lambda2bis, lambda2, lemma_sj, markov, or corollary, "
+                         "corollary_fv, corollary_iv_general, "
+                         "corollary_iv_lipschitz (these need --m1)"),
     "delta": dict(type=float, help="small-jump simulation cutoff"),
     "refine": dict(action="store_true", default=None,
                    help="Gaussian refinement below delta"),

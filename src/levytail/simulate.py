@@ -162,13 +162,19 @@ def sample_jump_band(model: LevyModel, lo: float, hi: float,
     """n jumps drawn from f restricted to lo < |x| <= hi."""
     if n == 0:
         return np.empty(0)
+    return _band_jumps(model, lo, hi, lambda_band(model, lo, hi).value, rng, n)
+
+
+def _band_jumps(model: LevyModel, lo: float, hi: float, lam: float,
+                rng: np.random.Generator, n: int) -> np.ndarray:
+    # n jumps on the band, whose mass lam the caller computed once
+    if lam <= 0.0:
+        raise SchemeInfeasible(
+            f"the jump density carries no mass on ({lo:g}, {hi:g}]"
+        )
     if model.jump_parts is not None:
         live = [(p, p.mass(lo, hi)) for p in model.jump_parts]
         live = [(p, w) for p, w in live if w > 0.0]
-        if not live:
-            raise SchemeInfeasible(
-                f"the jump density carries no mass on ({lo:g}, {hi:g}]"
-            )
         if len(live) == 1:
             return _sample_part_band(live[0][0], lo, hi, rng, n)
         weights = np.array([w for _, w in live])
@@ -180,7 +186,7 @@ def sample_jump_band(model: LevyModel, lo: float, hi: float,
             if cnt:
                 out[sel] = _sample_part_band(part, lo, hi, rng, cnt)
         return out
-    return _sample_band_rejection(model, lo, hi, rng, n)
+    return _sample_band_rejection(model, lo, hi, lam, rng, n)
 
 
 def _envelope_pieces(model: LevyModel, lo: float, hi: float):
@@ -244,22 +250,32 @@ def _draw_envelope(pieces, rng: np.random.Generator,
     return r, dens
 
 
-def _sample_band_rejection(model: LevyModel, lo: float, hi: float,
+# Candidates per batch at most: bounds memory when the band mass is a small
+# share of the envelope mass.
+_MAX_BATCH = 1 << 20
+
+
+def _sample_band_rejection(model: LevyModel, lo: float, hi: float, lam: float,
                            rng: np.random.Generator, n: int) -> np.ndarray:
+    # Rejection from the envelope of g(r) = f(r) + f(-r): a candidate r is
+    # kept when v env(r) < g(r), a share lam / (envelope mass) of them.  Given
+    # that, v env(r) / g(r) is uniform, so v env(r) < f(r) makes the jump r
+    # with probability f(r) / g(r), and -r otherwise: the kept jumps have law
+    # f on the band, symmetric or not.
     pieces = _envelope_pieces(model, lo, hi)
+    acc = lam / sum(p[5] for p in pieces)
     out = np.empty(n)
     filled = 0
     for _ in range(500):
         want = n - filled
-        batch = max(4 * want, 256)
+        batch = min(math.ceil(want / acc * 1.05) + 64, _MAX_BATCH)
         r, env = _draw_envelope(pieces, rng, batch)
-        s = rng.integers(0, 2, size=batch) * 2.0 - 1.0
-        fx = np.asarray(model.density(s * r), dtype=float)
-        keep = rng.random(batch) * env < fx
-        taken = min(int(keep.sum()), want)
-        if taken:
-            out[filled:filled + taken] = (s * r)[keep][:taken]
-            filled += taken
+        f_pos = np.asarray(model.density(r), dtype=float)
+        g = f_pos + np.asarray(model.density(-r), dtype=float)
+        v = rng.random(batch) * env
+        x = np.where(v < f_pos, r, -r)[v < g][:want]
+        out[filled:filled + x.size] = x
+        filled += x.size
         if filled == n:
             return out
     raise SchemeInfeasible(
@@ -283,7 +299,7 @@ def _compound_poisson(model: LevyModel, lo: float, hi: float, lam: float,
     total = int(counts.sum())
     if total == 0:
         return np.zeros(n)
-    jumps = sample_jump_band(model, lo, hi, rng, total)
+    jumps = _band_jumps(model, lo, hi, lam, rng, total)
     owner = np.repeat(np.arange(n), counts)
     return np.bincount(owner, weights=jumps, minlength=n)
 

@@ -9,12 +9,22 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import integrate, stats
 
 import levytail
 from levytail import simulate as sim
 from levytail.errors import SchemeInfeasible
-from levytail.levy_model import cauchy, gamma, parse_model, power_law, stable
+from levytail.levy_model import (
+    LevyModel,
+    TailEnvelope,
+    cauchy,
+    gamma,
+    lambda_band,
+    parse_model,
+    power_law,
+    stable,
+    tempered_stable,
+)
 from levytail.simulate import (
     MCEstimate,
     SeededStream,
@@ -134,6 +144,102 @@ def test_one_sided_count_never_exceeds_two_sided():
     pos = estimate_tail_prob(model, 1.0, 0.05, side="pos", **kw)
     both = estimate_tail_prob(model, 1.0, 0.05, side="abs", **kw)
     assert pos.p_hat <= both.p_hat
+
+
+# === band jumps by envelope rejection ========================================
+
+
+def _lopsided_density(x):
+    # x^-1.5 e^-x for x > 0 and 0.3 |x|^-1.5 e^-2|x| for x < 0; 0 at x = 0
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.where(np.asarray(x) > 0, np.exp(-a), 0.3 * np.exp(-2.0 * a)) \
+            * a ** -1.5
+    return np.where(a > 0, f, 0.0)[()]
+
+
+LOPSIDED = LevyModel(
+    density=_lopsided_density,
+    symmetric=False,
+    variation="finite",
+    class_alpha=0.5,
+    class_M=1.0,
+    # f(x) + f(-x) = x^-1.5 (e^-x + 0.3 e^-2x) <= 1.3 e^-x for x >= 1
+    tail_envelope=TailEnvelope(coef=1.3, rate=1.0, beyond=1.0),
+    name="lopsided",
+)
+
+REJECTION_MODELS = [tempered_stable(0.5, 1.0), tempered_stable(1.2, 1.0),
+                    LOPSIDED]
+REJECTION_BANDS = [(1e-3, 1.0), (0.5, 5.0), (1.0, math.inf)]
+
+
+@pytest.mark.parametrize("band", REJECTION_BANDS, ids=str)
+@pytest.mark.parametrize("model", REJECTION_MODELS, ids=lambda m: m.name)
+def test_band_rejection_draws_follow_the_density(model, band):
+    lo, hi = band
+    n = 100_000
+    x = sim.sample_jump_band(model, lo, hi, SeededStream(16).generator(), n)
+    r = np.abs(x)
+    assert x.shape == (n,) and np.all((r > lo) & (r <= hi))
+    lam = lambda_band(model, lo, hi).value
+    # |x| against lambda_band(lo, r) / lambda_band(lo, hi) on 25 quantiles;
+    # 1.95 is the 0.1 % level of the Kolmogorov-Smirnov statistic
+    qs = np.quantile(r, np.linspace(0.02, 0.98, 25))
+    dev = max(abs(np.mean(r <= q) - lambda_band(model, lo, q).value / lam)
+              for q in qs)
+    assert math.sqrt(n) * dev < 1.95
+    # the share of positive jumps against the mass of f on the positive side
+    p = integrate.quad(model.density, lo, hi)[0] / lam
+    assert abs(np.mean(x > 0) - p) < 4.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+@pytest.fixture
+def envelope_batches(monkeypatch):
+    """The sizes of the candidate batches drawn from the envelope."""
+    drawn = []
+    real = sim._draw_envelope
+
+    def counting(pieces, rng, n):
+        drawn.append(n)
+        return real(pieces, rng, n)
+
+    monkeypatch.setattr(sim, "_draw_envelope", counting)
+    return drawn
+
+
+def test_band_rejection_draws_about_one_candidate_per_jump(envelope_batches):
+    n = 100_000
+    sim.sample_jump_band(tempered_stable(0.5, 1.0), 1e-3, 1.0,
+                         SeededStream(2).generator(), n)
+    assert sum(envelope_batches) <= 1.5 * n
+
+
+def test_low_acceptance_band_draws_in_bounded_batches(envelope_batches):
+    # the band mass is 1e-4 of the class envelope's, so sizing the batch from
+    # the acceptance alone would ask for 2.1e6 candidates at once
+    faint = LevyModel(density=lambda x: 1e-4 * np.abs(x) ** -1.5,
+                      symmetric=True, variation="finite", class_alpha=0.5,
+                      class_M=1.0, name="faint")
+    x = sim.sample_jump_band(faint, 1e-3, 1.0, SeededStream(4).generator(), 200)
+    assert x.shape == (200,)
+    assert max(envelope_batches) == sim._MAX_BATCH
+
+
+def test_band_without_mass_raises_before_drawing(monkeypatch):
+    # vanishes on (1, 2] without declaring a support radius
+    def density(x):
+        a = np.abs(x)
+        with np.errstate(divide="ignore"):
+            return np.where((a > 0) & (a <= 1.0), a ** -1.5, 0.0)[()]
+
+    model = LevyModel(density=density, symmetric=True, variation="finite",
+                      class_alpha=0.5, class_M=1.0, name="gap")
+    monkeypatch.setattr(sim, "_draw_envelope", None)  # any draw would fail
+    rng = SeededStream(3).generator()
+    with pytest.raises(SchemeInfeasible, match="carries no mass on"):
+        sim.sample_jump_band(model, 1.0, 2.0, rng, 10 ** 6)
+    assert rng.random() == SeededStream(3).generator().random()
 
 
 # === scheme route ============================================================
