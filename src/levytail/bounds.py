@@ -32,6 +32,7 @@ from typing import Optional
 
 from .errors import (
     AlphaOutOfRange,
+    ConfigError,
     DegenerateSigma,
     InvalidCutoff,
     LambdaOutOfRange,
@@ -60,6 +61,7 @@ __all__ = [
     "bound_stable_type",
     "ccpp_centering_gap",
     "auto_select",
+    "THEOREMS",
 ]
 
 _E_2E = math.exp(2.0 + 1.0 / math.e)
@@ -199,13 +201,28 @@ def _general_log(x: float, eps: float, t: float,
     return x / eps - (x * eps + t * s2) / (eps * eps) * lg, lg
 
 
-def _check_level(eps: float, t: float, x: float) -> None:
-    if not 0.0 < eps <= 1.0:
-        raise InvalidCutoff(f"the small-jump bounds need eps in (0, 1], got {eps}")
+def _check_eps_t(eps: float, t: float, top: float = math.inf) -> None:
+    if not 0.0 < eps <= top:
+        raise InvalidCutoff(f"need 0 < eps <= {top:g}, got eps = {eps}")
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
+
+
+def _global_M(model: LevyModel, what: str) -> float:
+    # M = max(class_M, global_M) of the bounds that need f bounded beyond 1
+    if model.global_M is None:
+        raise MissingGlobalM(f"{what} needs a declared bound on sup of f over "
+                             f"|x| >= 1")
+    return max(model.class_M, model.global_M)
+
+
+def _level(eps: float, t: float, x: Optional[float]) -> float:
+    # the level x, which defaults to eps, after checking the arguments
+    _check_eps_t(eps, t, 1.0)
+    x = eps if x is None else x
     if x <= 0.0:
         raise ValueError(f"the level x must be positive, got {x}")
+    return x
 
 
 def _clamped(raw: float, theorem: str, t_max: float, valid: bool,
@@ -228,9 +245,7 @@ def chernoff_small_jumps(model: LevyModel, eps: float, t: float,
     is also evaluated and the smaller of the two is returned per side.
     ``x`` defaults to eps.
     """
-    if x is None:
-        x = eps
-    _check_level(eps, t, x)
+    x = _level(eps, t, x)
     s2 = sigma2(model, eps).value
     consts: dict = {"sigma2_eps": s2, "x": x, "two_sided": two_sided}
     if s2 == 0.0:
@@ -261,9 +276,7 @@ def chernoff_with_gaussian(model: LevyModel, Sigma: float, eps: float,
     exp(t Sigma^2 / (2 eps^2) log^2(1 + x eps / (t sigma2(eps)))).  With
     Sigma = 0 this reproduces the one-sided general bound exactly.
     """
-    if x is None:
-        x = eps
-    _check_level(eps, t, x)
+    x = _level(eps, t, x)
     if Sigma < 0.0:
         raise ValueError(f"Sigma must be nonnegative, got {Sigma}")
     s2 = sigma2(model, eps).value
@@ -279,12 +292,16 @@ def chernoff_with_gaussian(model: LevyModel, Sigma: float, eps: float,
     return _clamped(raw, "lemma_sj_gauss", math.inf, True, x / eps, consts)
 
 
+def _markov(model: LevyModel, eps: float, t: float) -> BoundResult:
+    return BoundResult(value=markov_baseline(model, eps, t), theorem="markov",
+                       t_max=math.inf, valid=True, rate_exponent=1.0,
+                       constants_used={})
+
+
 def markov_baseline(model: LevyModel, eps: float, t: float,
                     x: Optional[float] = None) -> float:
     """Chebyshev baseline min(1, t sigma2(eps) / x^2), x defaulting to eps."""
-    if x is None:
-        x = eps
-    _check_level(eps, t, x)
+    x = _level(eps, t, x)
     return min(1.0, t * sigma2(model, eps).value / (x * x))
 
 
@@ -310,10 +327,7 @@ def bound_smalljump_fv(model: LevyModel, eps: float, t: float) -> BoundResult:
     t <= eps^alpha (2 - alpha) / (M 2^(alpha+1)).
     """
     _require_fv(model, "the finite-variation small-jump bound")
-    if not 0.0 < eps <= 1.0:
-        raise InvalidCutoff(f"eps must lie in (0, 1], got {eps}")
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+    _check_eps_t(eps, t, 1.0)
     a, m = model.class_alpha, model.class_M
     cs = constants(a)
     if model.symmetric:
@@ -335,10 +349,7 @@ def bound_cdf_fv(model: LevyModel, eps: float, t: float) -> BoundResult:
     global_M beyond 1 and use M = max(class_M, global_M) throughout.
     """
     _require_fv(model, "the finite-variation residual bound")
-    if eps <= 0.0:
-        raise InvalidCutoff(f"eps must be positive, got {eps}")
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+    _check_eps_t(eps, t)
     a = model.class_alpha
     cs = constants(a)
     consts: dict = {}
@@ -368,12 +379,7 @@ def bound_cdf_fv(model: LevyModel, eps: float, t: float) -> BoundResult:
             consts.update(branch="general_small_eps", C1=cs["C1"],
                           D1=cs["D1"], D2=cs["D2"])
     else:
-        if model.global_M is None:
-            raise MissingGlobalM(
-                "the residual bound beyond eps = 1 needs a declared bound on "
-                "sup of f over |x| >= 1"
-            )
-        m = max(model.class_M, model.global_M)
+        m = _global_M(model, "the residual bound beyond eps = 1")
         lam1 = lambda_(model, 1.0).value
         consts.update(M=m, lambda_1=lam1)
         if model.symmetric:
@@ -432,10 +438,7 @@ def bound_smalljump_iv(model: LevyModel, eps: float, t: float,
     ``two_sided``.  Valid for t < (eps/2)^alpha min(1, (2-alpha)/(2M)).
     """
     _require_iv_sym(model, "the infinite-variation small-jump bound")
-    if not 0.0 < eps <= 1.0:
-        raise InvalidCutoff(f"eps must lie in (0, 1], got {eps}")
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+    _check_eps_t(eps, t, 1.0)
     a, m = model.class_alpha, model.class_M
     t_max = (eps / 2.0) ** a * min(1.0, (2.0 - a) / (2.0 * m))
     if a > 1.0:
@@ -477,17 +480,9 @@ def bound_cdf_iv_general(model: LevyModel, eps: float, t: float) -> BoundResult:
     where C = min(1, (2-alpha)/(2M))^(1/alpha).
     """
     _require_iv_sym(model, "the bounded-density residual bound")
-    if eps <= 0.0:
-        raise InvalidCutoff(f"eps must be positive, got {eps}")
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    if model.global_M is None:
-        raise MissingGlobalM(
-            "the bounded-density residual bound needs a declared bound on "
-            "sup of f over |x| >= 1"
-        )
+    _check_eps_t(eps, t)
+    m = _global_M(model, "the bounded-density residual bound")
     a = model.class_alpha
-    m = max(model.class_M, model.global_M)
     cs = constants(a, M=m)
     e1 = min(eps, 1.0)
     t_max = (e1 / 2.0) ** a * min(1.0, (2.0 - a) / (2.0 * m))
@@ -520,6 +515,32 @@ def bound_cdf_iv_general(model: LevyModel, eps: float, t: float) -> BoundResult:
                        constants_used=consts)
 
 
+def _lipschitz_M(model: LevyModel, eps: float) -> float:
+    # M = max(class_M, certificate M) of the Lipschitz residual bound, once
+    # the certificate is checked to cover eps as that bound requires
+    cert = model.lipschitz_cert
+    if cert is None:
+        raise MissingLipschitzCert(
+            "the Lipschitz residual bound needs a Lipschitz certificate on "
+            "the density"
+        )
+    e1 = min(eps, 1.0)
+    lo_req, hi_req = 0.75 * e1, 2.0 * eps - 0.75 * e1
+    if cert.lo > lo_req or cert.hi < hi_req:
+        raise MissingLipschitzCert(
+            f"certificate covers ({cert.lo:g}, {cert.hi:g}) but eps = {eps:g} "
+            f"needs ({lo_req:g}, {hi_req:g})"
+        )
+    m = max(model.class_M, cert.m_lip or 0.0)
+    required = m * e1 ** -(2.0 + model.class_alpha)
+    if cert.constant > required * (1.0 + 1e-12):
+        raise CertTooWeak(
+            f"certified Lipschitz constant {cert.constant:g} exceeds "
+            f"M (eps ^ (2+alpha))^-1 = {required:g}"
+        )
+    return m
+
+
 def bound_cdf_iv_lipschitz(model: LevyModel, eps: float, t: float) -> BoundResult:
     """|P(|X_t| >= eps) - t lambda_eps| under a Lipschitz certificate.
 
@@ -530,31 +551,10 @@ def bound_cdf_iv_lipschitz(model: LevyModel, eps: float, t: float) -> BoundResul
     for t <= (2-alpha) e1^alpha / (2^(1+alpha) M), nonstrict.
     """
     _require_iv_sym(model, "the Lipschitz residual bound")
-    if eps <= 0.0:
-        raise InvalidCutoff(f"eps must be positive, got {eps}")
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    cert = model.lipschitz_cert
-    if cert is None:
-        raise MissingLipschitzCert(
-            "the Lipschitz residual bound needs a Lipschitz certificate on "
-            "the density"
-        )
+    _check_eps_t(eps, t)
+    m = _lipschitz_M(model, eps)
     a = model.class_alpha
     e1 = min(eps, 1.0)
-    lo_req, hi_req = 0.75 * e1, 2.0 * eps - 0.75 * e1
-    if cert.lo > lo_req or cert.hi < hi_req:
-        raise MissingLipschitzCert(
-            f"certificate covers ({cert.lo:g}, {cert.hi:g}) but eps = {eps:g} "
-            f"needs ({lo_req:g}, {hi_req:g})"
-        )
-    m = max(model.class_M, cert.m_lip or 0.0)
-    required = m * e1 ** -(2.0 + a)
-    if cert.constant > required * (1.0 + 1e-12):
-        raise CertTooWeak(
-            f"certified Lipschitz constant {cert.constant:g} exceeds "
-            f"M (eps ^ (2+alpha))^-1 = {required:g}"
-        )
     cs = constants(a, eps=eps)
     t_max = (2.0 - a) * e1 ** a / (2.0 ** (1.0 + a) * m)
     lam1 = lambda_(model, 1.0).value
@@ -595,10 +595,7 @@ def bound_stable_type(M1: float, M2: float, alpha: float, eps: float, t: float,
     """
     if not 0.0 < M1 <= M2:
         raise InvalidCutoff(f"need 0 < M1 <= M2, got M1={M1}, M2={M2}")
-    if not 0.0 < eps <= 1.0:
-        raise InvalidCutoff(f"the stable-type bounds need eps in (0, 1], got {eps}")
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+    _check_eps_t(eps, t, 1.0)
     if lambda_eps <= 0.0:
         raise WindowViolated(
             f"lambda_eps must be positive to place t lambda_eps in the "
@@ -670,6 +667,23 @@ def bound_stable_type(M1: float, M2: float, alpha: float, eps: float, t: float,
                        constants_used=consts)
 
 
+def _corollary(model: LevyModel, eps: float, t: float, m1: Optional[float],
+               variant: str) -> BoundResult:
+    # bound_stable_type for a symmetric model, with M2 the M of the residual
+    # bound the variant restates; "" picks fv or iv_general by alpha
+    if m1 is None:
+        raise ValueError("stable-type bounds need the lower envelope constant m1")
+    if not model.symmetric:
+        raise NotSymmetric("the stable-type bounds hold for symmetric densities only")
+    _check_eps_t(eps, t, 1.0)
+    variant = variant or ("fv" if model.class_alpha < 1.0 else "iv_general")
+    m2 = (_global_M(model, "the stable-type bound") if variant == "iv_general"
+          else _lipschitz_M(model, eps) if variant == "iv_lipschitz"
+          else model.class_M)
+    return bound_stable_type(m1, m2, model.class_alpha, eps, t, variant,
+                             lambda_(model, eps).value)
+
+
 # === compensated compound Poisson centering ==================================
 
 
@@ -709,9 +723,7 @@ def auto_select(model: LevyModel, eps: float, t: float) -> BoundResult:
     for fn in (bound_cdf_fv, bound_cdf_iv_general, bound_cdf_iv_lipschitz):
         try:
             candidates.append(fn(model, eps, t))
-        except (AlphaOutOfRange, NotSymmetric, WrongVariation,
-                UndeclaredVariation, MissingGlobalM, MissingLipschitzCert,
-                CertTooWeak, InvalidCutoff):
+        except ConfigError:  # a hypothesis the model does not certify
             continue
     if not candidates:
         raise NoApplicableBound(
@@ -720,3 +732,25 @@ def auto_select(model: LevyModel, eps: float, t: float) -> BoundResult:
     in_window = [c for c in candidates if c.valid]
     pool = in_window or candidates
     return min(pool, key=lambda c: (c.value, c.rate_exponent))
+
+
+# === the theorem table =======================================================
+
+# --theorem name: (kind, entry point, corollary variant).  A "probability"
+# bound B gives P(|X_t| >= eps) <= t lambda_eps + B, a "residual" one bounds
+# |P - t lambda_eps|.  Entry points take (model, eps, t[, m1, variant]) and
+# are looked up by name when called, so a wrapper put at the name sees it.
+THEOREMS = {
+    "auto": ("residual", "auto_select", None),
+    "ps1": ("probability", "bound_smalljump_fv", None),
+    "teo1": ("residual", "bound_cdf_fv", None),
+    "ps2": ("probability", "bound_smalljump_iv", None),
+    "lambda2bis": ("residual", "bound_cdf_iv_general", None),
+    "lambda2": ("residual", "bound_cdf_iv_lipschitz", None),
+    "lemma_sj": ("probability", "chernoff_small_jumps", None),
+    "markov": ("probability", "_markov", None),
+    "corollary": ("residual", "_corollary", ""),
+    "corollary_fv": ("residual", "_corollary", "fv"),
+    "corollary_iv_general": ("residual", "_corollary", "iv_general"),
+    "corollary_iv_lipschitz": ("residual", "_corollary", "iv_lipschitz"),
+}

@@ -229,13 +229,16 @@ def _cmd_validate(settings: _Settings) -> int:
     model = _model_from(settings)
     eps_values = _parse_grid(settings.require("eps_grid"))
     t_grid = _parse_grid(settings.require("t_grid"))
+    theorem = settings.get("theorem", "auto")
     report = _harness.validate_bounds(
-        model, eps_values, t_grid,
-        theorem=settings.get("theorem", "auto"),
+        model, eps_values, t_grid, theorem=theorem,
         truth=settings.get("truth", "closed"),
         m1=settings.get("m1", None, float),
         **_mc_options(settings, min(eps_values), "clopper_pearson"),
     )
+    if not report.rows:
+        raise ConfigError(f"theorem {theorem} covers none of eps = "
+                          + ", ".join(_g17(e) for e in eps_values))
     out = settings.get("out", None)
     fmt = settings.get("format", "csv")
     if fmt == "json":
@@ -328,10 +331,9 @@ _OPTIONS = {
     "method": dict(choices=("wilson", "clopper_pearson"),
                    help="binomial interval"),
     "truth": dict(choices=("closed", "mc"), help="truth source"),
-    "theorem": dict(help="bound selector: auto (default), ps1, teo1, ps2, "
-                         "lambda2bis, lambda2, lemma_sj, markov, or corollary, "
-                         "corollary_fv, corollary_iv_general, "
-                         "corollary_iv_lipschitz (these need --m1)"),
+    "theorem": dict(help="bound selector (default auto): "
+                         + ", ".join(_bounds.THEOREMS)
+                         + "; the corollaries need --m1"),
     "delta": dict(type=float, help="small-jump simulation cutoff"),
     "refine": dict(action="store_true", default=None,
                    help="Gaussian refinement below delta"),

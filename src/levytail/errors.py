@@ -23,7 +23,6 @@ __all__ = [
     "WindowViolated",
     "LambdaOutOfRange",
     "NoApplicableBound",
-    "ShapeTooLarge",
     "UnsupportedJumpLaw",
     "SchemeInfeasible",
     "TruthUnavailable",
@@ -97,10 +96,6 @@ class LambdaOutOfRange(ConfigError):
 
 class NoApplicableBound(LevyTailError):
     """No theorem bound is valid for the given model, eps and t (exit 4)."""
-
-
-class ShapeTooLarge(ConfigError):
-    """The gamma tail is only computed for shape parameter t in (0, 1)."""
 
 
 class UnsupportedJumpLaw(ConfigError):

@@ -70,46 +70,15 @@ def clip_to_window(grid: Sequence[float], t_max: float,
 
 def theorem_bound(model: LevyModel, eps: float, t: float, theorem: str,
                   m1: Optional[float] = None) -> _bounds.BoundResult:
-    """Evaluate a named bound at (eps, t); ``auto`` picks the best residual
-    bound the model certifies."""
-    if theorem == "auto":
-        return _bounds.auto_select(model, eps, t)
-    if theorem == "ps1":
-        return _bounds.bound_smalljump_fv(model, eps, t)
-    if theorem == "ps2":
-        return _bounds.bound_smalljump_iv(model, eps, t)
-    if theorem == "teo1":
-        return _bounds.bound_cdf_fv(model, eps, t)
-    if theorem == "lambda2bis":
-        return _bounds.bound_cdf_iv_general(model, eps, t)
-    if theorem == "lambda2":
-        return _bounds.bound_cdf_iv_lipschitz(model, eps, t)
-    if theorem == "lemma_sj":
-        return _bounds.chernoff_small_jumps(model, eps, t)
-    if theorem == "markov":
-        value = _bounds.markov_baseline(model, eps, t)
-        return _bounds.BoundResult(value=value, theorem="markov",
-                                   t_max=math.inf, valid=True,
-                                   rate_exponent=1.0, constants_used={})
-    if theorem in ("corollary", "corollary_fv", "corollary_iv_general",
-                   "corollary_iv_lipschitz"):
-        if m1 is None:
-            raise ValueError(
-                "stable-type bounds need the lower envelope constant m1"
-            )
-        if theorem == "corollary":
-            variant = "fv" if model.class_alpha < 1.0 else "iv_general"
-        else:
-            variant = theorem[len("corollary_"):]
-        lam = lambda_(model, eps).value
-        return _bounds.bound_stable_type(m1, model.class_M, model.class_alpha,
-                                         eps, t, variant, lam)
-    raise ValueError(f"unknown theorem {theorem!r}")
-
-
-# A bound on the probability itself (union bound gives
-# P(|X_t| >= eps) <= t lambda_eps + bound), versus a bound on |P - t lambda|.
-_PROBABILITY_THEOREMS = {"ps1", "ps2", "lemma_sj", "lemma_sj_gauss", "markov"}
+    """Evaluate the bound named ``theorem`` in :data:`bounds.THEOREMS` at
+    (eps, t); the corollaries need the lower envelope constant ``m1``."""
+    try:
+        _, entry, variant = _bounds.THEOREMS[theorem]
+    except KeyError:
+        raise ValueError(f"unknown theorem {theorem!r}") from None
+    fn = getattr(_bounds, entry)
+    return (fn(model, eps, t) if variant is None
+            else fn(model, eps, t, m1, variant))
 
 
 # === residual curves =========================================================
@@ -285,13 +254,15 @@ def validate_bounds(model: LevyModel, eps_values: Sequence[float],
 
     A row FAILs only when the truth interval certifiably exceeds the bound:
     for residual bounds the certified residual is max(0, ci_low - t lambda,
-    t lambda - ci_high); for probability bounds (the small-jump family) only
-    the excess above t lambda counts, since P <= t lambda_eps + bound by a
-    union over the large-jump count.  Out-of-window points are SKIPped.
+    t lambda - ci_high); for probability bounds (the kind is read from
+    :data:`bounds.THEOREMS`) only the excess above t lambda counts.
+    Out-of-window points are SKIPped.
     """
     truth_at = _truth_at(model, truth, stream, n=n, shards=shards,
                          confidence=confidence, method=method, scheme=scheme,
                          margin=margin, widen=widen)
+    # an unknown name raises at its first evaluation, in theorem_bound
+    probability = _bounds.THEOREMS.get(theorem, ("",))[0] == "probability"
     rows: list[ValidationRow] = []
     for k, eps in enumerate(eps_values):
         lam = lambda_(model, eps).value
@@ -301,7 +272,7 @@ def validate_bounds(model: LevyModel, eps_values: Sequence[float],
             except InvalidCutoff:
                 continue  # theorem does not cover this eps at all
             value, lo, hi = truth_at(eps, t, 1000 * k + i)
-            if br.theorem in _PROBABILITY_THEOREMS:
+            if probability:
                 certified = max(0.0, lo - lam * t)
             else:
                 certified = max(0.0, lo - lam * t, lam * t - hi)

@@ -1,5 +1,6 @@
-"""Independent high-precision reference values for the explicit constants
-and for compound Poisson tails with uniform jumps.
+"""Independent high-precision reference values for the explicit constants,
+for compound Poisson tails with uniform jumps and for the inverse Gaussian
+tail.
 
 Every formula here is transcribed separately from the library (mpmath
 arithmetic, no imports from levytail), so agreement with bounds.constants and
@@ -12,7 +13,8 @@ test_constants instead of being swept here).
 
 from __future__ import annotations
 
-from mpmath import binomial, exp, factorial, floor, fsum, log, mp, mpf
+from mpmath import (binomial, exp, factorial, floor, fsum, log, mp, mpf,
+                    ncdf, pi, sqrt)
 
 mp.dps = 40
 
@@ -183,3 +185,16 @@ def cpp_uniform_tail(lam, lo, hi, eps, t):
         if n > mu and pmf < mpf(10) ** -45:
             return total
         n += 1
+
+
+# === inverse Gaussian subordinator ===========================================
+
+
+def ig_tail(eps, t):
+    """P(X_t >= eps) for the density exp(-x) x^(-3/2): X_t is Wald with mean
+    mu = sqrt(pi) t and shape lam = 2 pi t^2, whose survival function is
+    Phi(-r (x/mu - 1)) - exp(2 lam/mu) Phi(-r (x/mu + 1)), r = sqrt(lam/x)."""
+    t, x = mpf(t), mpf(eps)
+    mu, lam = sqrt(pi) * t, 2 * pi * t * t
+    r = sqrt(lam / x)
+    return ncdf(-r * (x / mu - 1)) - exp(2 * lam / mu) * ncdf(-r * (x / mu + 1))

@@ -292,6 +292,37 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 2
 
 
+def test_validate_without_rows_is_exit_two(capsys):
+    # ps2 covers eps in (0, 1] only
+    code, out, err = run(capsys, "validate", "--model", "cauchy",
+                         "--theorem", "ps2", "--eps-grid", "2,3",
+                         "--t-grid", "0.01,0.1")
+    assert code == 2
+    assert out == ""
+    assert "ps2" in err and "2, 3" in err
+
+
+def test_corollary_hypotheses_are_exit_two(capsys):
+    code, out, err = run(capsys, "bound", "--model", "gamma", "--eps", "0.5",
+                         "--t", "0.001", "--theorem", "corollary",
+                         "--m1", "0.3")
+    assert (code, out) == (2, "")
+    assert "symmetric" in err
+    code, out, err = run(capsys, "bound", "--model", "stable(1.5,1)",
+                         "--eps", "0.5", "--t", "0.001", "--theorem",
+                         "corollary_iv_lipschitz", "--m1", "1")
+    assert (code, out) == (2, "")
+    assert "Lipschitz certificate" in err
+
+
+def test_bound_help_lists_every_theorem(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["bound", "--help"])
+    out = capsys.readouterr().out
+    for name in bd.THEOREMS:
+        assert name in out
+
+
 def test_validate_without_usable_truth_is_exit_two(capsys):
     code, out, err = run(capsys, "validate", "--model", "power_law(1,0.5)",
                          "--eps-grid", "5", "--t-grid", "0.01",

@@ -13,7 +13,6 @@ from levytail import closed_forms as cf
 from levytail.errors import (
     InvalidCutoff,
     QuadratureFailure,
-    ShapeTooLarge,
     UnsupportedJumpLaw,
 )
 
@@ -76,7 +75,14 @@ def test_gamma_tail_error_estimate_covers_mpmath():
     points = [(float(eps), float(t))
               for t in np.geomspace(1e-6, 0.999, 40)
               for eps in np.geomspace(1e-4, 50.0, 40)]
-    for eps, t in points + [(1.0, 1e-5), (0.5, 1e-2), (0.99989, 0.50007)]:
+    # X_t is Gamma(t, 1) for every t; a flat 5e-14 of the value missed the
+    # last two points of this list
+    points += [(float(eps), float(t))
+               for t in np.geomspace(1.0, 50.0, 20)
+               for eps in np.geomspace(1e-4, 200.0, 40)]
+    for eps, t in points + [(1.0, 1e-5), (0.5, 1e-2), (0.99989, 0.50007),
+                            (85.21954910066064, 48.94008736851991),
+                            (133.64811444196502, 47.867428622970046)]:
         got = cf.gamma_tail(eps, t)
         expect = _mp_gamma_q(t, eps)
         assert abs(got.value - expect) <= got.abs_error_estimate, (eps, t)
@@ -93,11 +99,6 @@ def test_gamma_tail_error_estimate_covers_mpmath_near_eps_one():
             (eps, t)
 
 
-def test_gamma_tail_rejects_shape_at_least_one():
-    with pytest.raises(ShapeTooLarge):
-        cf.gamma_tail(1.0, 1.0)
-
-
 def test_ig_tail_matches_scipy_invgauss():
     # X_t is inverse Gaussian with mean sqrt(pi) t and shape 2 pi t^2.
     for t in (0.05, 0.2, 0.8):
@@ -107,6 +108,19 @@ def test_ig_tail_matches_scipy_invgauss():
             got = cf.ig_tail(eps, t)
             expect = float(stats.invgauss.sf(eps, mu, scale=shape))
             assert got.value == pytest.approx(expect, rel=1e-9)
+
+
+def test_ig_tail_error_estimate_covers_wald_oracle():
+    # Up to t = 5, where exp(2 t sqrt(pi)) reaches e^17.7, plus two points
+    # where QUADPACK's first estimate on [eps + 10, inf) met its absolute
+    # tolerance of 1e-15 and missed the value by about 59 times.
+    points = [(eps, float(t)) for eps in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
+              for t in np.linspace(0.5, 5.0, 25)]
+    for eps, t in points + [(3.36299545010119, 0.20009035424217306),
+                            (3.4476698052448977, 0.01936860450154382)]:
+        got = cf.ig_tail(eps, t)
+        expect = oracles.ig_tail(eps, t)
+        assert abs(got.value - expect) <= got.abs_error_estimate, (eps, t)
 
 
 def test_tail_argument_validation():
@@ -188,9 +202,11 @@ def test_cpp_generic_law_needs_full_mass_beyond_eps():
 
 
 def test_poisson_two_or_more_small_argument():
-    x = 1e-8
-    got = cf.poisson_two_or_more(x)
-    assert got == pytest.approx(x * x / 2.0, rel=1e-6)
+    # 1 - exp(-x) - x exp(-x) cancels: 0.21 relative error at x = 1e-15
+    for x in (1e-8, 1e-12, 1e-15):
+        expect = float(mpmath.gammainc(2, 0, x, regularized=True))
+        assert cf.poisson_two_or_more(x) == pytest.approx(expect, rel=1e-10,
+                                                         abs=0.0)
     assert cf.poisson_two_or_more(0.0) == 0.0
 
 

@@ -6,11 +6,16 @@ import math
 import numpy as np
 import pytest
 
+from levytail import bounds as bd
 from levytail import harness as hn
 from levytail.closed_forms import ExactTail
 from levytail.errors import (
     AlphaOutOfRange,
+    CertTooWeak,
     InvalidCutoff,
+    MissingGlobalM,
+    MissingLipschitzCert,
+    NotSymmetric,
     TooFewPoints,
     TruthUnavailable,
 )
@@ -19,7 +24,9 @@ from levytail.levy_model import (
     cauchy,
     gamma,
     lambda_,
+    parse_model,
     power_law,
+    stable,
     verify_class_membership,
 )
 from levytail.simulate import SeededStream
@@ -70,6 +77,69 @@ def test_theorem_bound_corollary_needs_lower_envelope():
     assert res.theorem == "corollary"
     fv = hn.theorem_bound(power_law(1.0, 0.5), 0.5, 0.001, "corollary", m1=1.0)
     assert "A" in fv.constants_used
+
+
+_CAUCHY_LIP = "cauchy; lipschitz=2.4:0.65:1.3:2.4"  # m_lip = 2.4 > 1/pi
+
+# table name -> (model text, eps, m1, the BoundResult.theorem it returns);
+# each model meets the hypotheses of its theorem at (eps, t = 1e-3)
+_TABLE_CASES = {
+    "auto": ("cauchy", 0.5, None, "lambda2bis"),
+    "ps1": ("power_law(1,0.5)", 0.5, None, "ps1"),
+    "teo1": ("power_law(1,0.5)", 0.5, None, "teo1"),
+    "ps2": ("cauchy", 0.5, None, "ps2"),
+    "lambda2bis": ("cauchy", 0.5, None, "lambda2bis"),
+    "lambda2": (_CAUCHY_LIP, 0.9, None, "lambda2"),
+    "lemma_sj": ("cauchy", 0.5, None, "lemma_sj"),
+    "markov": ("cauchy", 0.5, None, "markov"),
+    "corollary": ("cauchy", 0.5, 1.0 / math.pi, "corollary"),
+    "corollary_fv": ("stable(0.5,1)", 0.5, 1.0, "corollary"),
+    "corollary_iv_general": ("stable(1.5,1)", 0.5, 1.0, "corollary"),
+    "corollary_iv_lipschitz": (_CAUCHY_LIP, 0.9, 1.0 / math.pi, "corollary"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(bd.THEOREMS))
+def test_every_table_name_evaluates_its_theorem(name):
+    text, eps, m1, expect = _TABLE_CASES[name]
+    res = hn.theorem_bound(parse_model(text), eps, 1e-3, name, m1=m1)
+    assert res.theorem == expect
+    assert res.valid
+    assert bd.THEOREMS[name][0] in ("probability", "residual")
+
+
+def test_corollary_needs_a_symmetric_density():
+    # gamma is one-sided; its class_alpha = 0.5 picks the fv variant
+    with pytest.raises(NotSymmetric):
+        hn.theorem_bound(gamma(), 0.5, 1e-3, "corollary", m1=0.3)
+
+
+def test_corollary_iv_general_needs_the_global_bound_and_uses_it():
+    model = dataclasses.replace(stable(1.5, 1.0), global_M=None)
+    with pytest.raises(MissingGlobalM):
+        hn.theorem_bound(model, 0.5, 1e-3, "corollary_iv_general", m1=1.0)
+    # M2 = max(class_M, global_M), as in lambda2bis
+    model = dataclasses.replace(stable(1.5, 1.0), global_M=2.0)
+    res = hn.theorem_bound(model, 0.5, 1e-3, "corollary_iv_general", m1=1.0)
+    lam = lambda_(model, 0.5).value
+    assert res == bd.bound_stable_type(1.0, 2.0, 1.5, 0.5, 1e-3,
+                                       "iv_general", lam)
+
+
+def test_corollary_iv_lipschitz_checks_the_certificate_and_uses_its_m():
+    with pytest.raises(MissingLipschitzCert):
+        hn.theorem_bound(stable(1.5, 1.0), 0.5, 1e-3,
+                         "corollary_iv_lipschitz", m1=1.0)
+    weak = parse_model("stable(1.5,1); lipschitz=5:0.2:2:1")
+    with pytest.raises(CertTooWeak):
+        hn.theorem_bound(weak, 0.9, 1e-3, "corollary_iv_lipschitz", m1=1.0)
+    # M2 = max(class_M, m_lip) = 2.4, as in lambda2
+    model = parse_model(_CAUCHY_LIP)
+    res = hn.theorem_bound(model, 0.9, 1e-3, "corollary_iv_lipschitz",
+                           m1=1.0 / math.pi)
+    expect = bd.bound_stable_type(1.0 / math.pi, 2.4, 1.0, 0.9, 1e-3,
+                                  "iv_lipschitz", lambda_(model, 0.9).value)
+    assert (res, res.constants_used) == (expect, expect.constants_used)
 
 
 # === residual curves =========================================================
@@ -205,11 +275,20 @@ def test_validate_bounds_detects_lying_truth():
 
 
 def test_validate_bounds_probability_theorem_uses_one_sided_slack():
-    report = hn.validate_bounds(cauchy(), [0.5], hn.t_log_grid(1e-3, 1e-2),
-                                theorem="ps2")
-    assert report.passed
-    for row in report.rows:
-        assert row.theorem == "ps2"
+    # the Cauchy truth lies below t lambda, so a two-sided certificate
+    # would count t lambda - ci_high against these bounds
+    models = {"ps1": gamma(), "ps2": cauchy(), "lemma_sj": cauchy(),
+              "markov": cauchy()}
+    assert set(models) == {name for name, (kind, *_) in bd.THEOREMS.items()
+                           if kind == "probability"}
+    for name, model in models.items():
+        report = hn.validate_bounds(model, [0.5], hn.t_log_grid(1e-3, 1e-2),
+                                    theorem=name)
+        assert report.passed
+        for row in report.rows:
+            assert row.theorem == name
+            excess = max(0.0, row.ci_low - row.lambda_eps * row.t)
+            assert row.margin == row.bound - excess
 
 
 @pytest.mark.parametrize("truth, stream, match", [
