@@ -325,8 +325,10 @@ _OPTIONS = {
     "m1": dict(type=float, help="lower envelope constant"),
     "n": dict(type=int, help="Monte Carlo paths (default 1000000)"),
     "seed": dict(type=int, help="master seed (default 0)"),
-    "shards": dict(type=int, help="sample shards, run one after another in "
-                                  "this process (default 1)"),
+    "shards": dict(type=int, help="sample shards: the order of the blocks "
+                                  "only, which run on up to one thread per "
+                                  "CPU; output is the same for any count "
+                                  "(default 1)"),
     "confidence": dict(type=float, help="CI level (default 0.99)"),
     "method": dict(choices=("wilson", "clopper_pearson"),
                    help="binomial interval"),

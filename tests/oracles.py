@@ -1,6 +1,6 @@
 """Independent high-precision reference values for the explicit constants,
-for compound Poisson tails with uniform jumps and for the inverse Gaussian
-tail.
+for compound Poisson tails with uniform jumps, for the inverse Gaussian tail
+and for the gamma tail at large t.
 
 Every formula here is transcribed separately from the library (mpmath
 arithmetic, no imports from levytail), so agreement with bounds.constants and
@@ -13,8 +13,8 @@ test_constants instead of being swept here).
 
 from __future__ import annotations
 
-from mpmath import (binomial, exp, factorial, floor, fsum, log, mp, mpf,
-                    ncdf, pi, sqrt)
+from mpmath import (binomial, exp, factorial, floor, fsum, inf, log, loggamma,
+                    mp, mpf, ncdf, pi, quad, sqrt)
 
 mp.dps = 40
 
@@ -198,3 +198,29 @@ def ig_tail(eps, t):
     mu, lam = sqrt(pi) * t, 2 * pi * t * t
     r = sqrt(lam / x)
     return ncdf(-r * (x / mu - 1)) - exp(2 * lam / mu) * ncdf(-r * (x / mu + 1))
+
+
+# === gamma subordinator at large t ===========================================
+
+
+def gamma_tail_large_t(eps, t):
+    """P(X_t >= eps) = Q(t, eps) for X_t ~ Gamma(t, 1) and t in the
+    thousands and beyond, where mpmath.gammainc fails to converge: the
+    quadrature of the density exp((t - 1) log x - x - loggamma(t)) from eps
+    to infinity at 60 digits, split at t +- 3 sqrt(t), t +- 10 sqrt(t) and
+    t + 40 sqrt(t) around the peak at t - 1.  mpmath.quad's tolerance is
+    absolute, so the integrand is divided by its largest value on
+    [eps, inf) and the factor restored after."""
+    with mp.workdps(60):
+        t, eps = mpf(t), mpf(eps)
+        s = sqrt(t)
+
+        def exponent(x):
+            return (t - 1) * log(x) - x
+
+        top = exponent(max(eps, t - 1))
+        cuts = [c for c in (t - 10 * s, t - 3 * s, t + 3 * s, t + 10 * s,
+                            t + 40 * s) if c > eps]
+        val = quad(lambda x: exp(exponent(x) - top), [eps] + cuts + [inf])
+        val *= exp(top - loggamma(t))
+    return +val

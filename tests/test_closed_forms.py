@@ -99,6 +99,18 @@ def test_gamma_tail_error_estimate_covers_mpmath_near_eps_one():
             (eps, t)
 
 
+def test_gamma_tail_error_estimate_covers_quadrature_oracle_at_large_t():
+    # mpmath.gammainc does not converge here; the oracle integrates the
+    # density, eps from 10 standard deviations below the mean to 40 above
+    rng = np.random.default_rng(20261020)
+    for _ in range(40):
+        t = float(10.0 ** rng.uniform(4.0, 5.0))
+        eps = float(t + rng.uniform(-10.0, 40.0) * math.sqrt(t))
+        got = cf.gamma_tail(eps, t)
+        expect = float(oracles.gamma_tail_large_t(eps, t))
+        assert abs(got.value - expect) <= got.abs_error_estimate, (eps, t)
+
+
 def test_ig_tail_matches_scipy_invgauss():
     # X_t is inverse Gaussian with mean sqrt(pi) t and shape 2 pi t^2.
     for t in (0.05, 0.2, 0.8):

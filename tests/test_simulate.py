@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +16,10 @@ from scipy import integrate, stats
 import levytail
 from levytail import simulate as sim
 from levytail.errors import SchemeInfeasible
+from levytail.harness import discontinuous_example
 from levytail.levy_model import (
     LevyModel,
+    PowerPart,
     TailEnvelope,
     cauchy,
     gamma,
@@ -226,6 +230,188 @@ def test_low_acceptance_band_draws_in_bounded_batches(envelope_batches):
     assert max(envelope_batches) == sim._MAX_BATCH
 
 
+# === stream exactness of the chunked samplers ================================
+#
+# One-shot references: the sampling formulas drawn in single calls, one
+# rng.random(n), one int64 rng.integers(0, 2, size=n) and one repeat+bincount.
+# The chunked samplers must give their bits and leave the generator as they do.
+
+
+def _ref_part_band(part, lo, hi, rng, n):
+    a, b, al = max(lo, part.lo), min(hi, part.hi), part.alpha
+    u = rng.random(n)
+    ta, tb = a ** -al, (0.0 if math.isinf(b) else b ** -al)
+    r = (ta - u * (ta - tb)) ** (-1.0 / al)
+    if part.side == "pos":
+        return r
+    if part.side == "neg":
+        return -r
+    return (rng.integers(0, 2, size=n) * 2.0 - 1.0) * r
+
+
+def _ref_draw_envelope(pieces, rng, n):
+    masses = np.array([p[5] for p in pieces])
+    idx = rng.choice(len(pieces), size=n, p=masses / masses.sum()) \
+        if len(pieces) > 1 else np.zeros(n, dtype=int)
+    r, dens = np.empty(n), np.empty(n)
+    for k, (kind, rate, coef, a, b, _) in enumerate(pieces):
+        sel = idx == k
+        u = rng.random(int(sel.sum()))
+        if kind == "power":
+            ta, tb = a ** -rate, (0.0 if math.isinf(b) else b ** -rate)
+            rr = (ta - u * (ta - tb)) ** (-1.0 / rate)
+            dd = coef * rr ** -(1.0 + rate)
+        else:
+            ea, eb = math.exp(-rate * a), (0.0 if math.isinf(b)
+                                           else math.exp(-rate * b))
+            rr = -np.log(ea - u * (ea - eb)) / rate
+            dd = coef * np.exp(-rate * rr)
+        r[sel], dens[sel] = rr, dd
+    return r, dens
+
+
+def _ref_band_jumps(model, lo, hi, lam, rng, n):
+    if model.jump_parts is not None:
+        live = [(p, p.mass(lo, hi)) for p in model.jump_parts]
+        live = [(p, w) for p, w in live if w > 0.0]
+        if len(live) == 1:
+            return _ref_part_band(live[0][0], lo, hi, rng, n)
+        weights = np.array([w for _, w in live])
+        idx = rng.choice(len(live), size=n, p=weights / weights.sum())
+        out = np.empty(n)
+        for k, (part, _) in enumerate(live):
+            sel = idx == k
+            if sel.any():
+                out[sel] = _ref_part_band(part, lo, hi, rng, int(sel.sum()))
+        return out
+    pieces = sim._envelope_pieces(model, lo, hi)
+    acc = lam / sum(p[5] for p in pieces)
+    out, filled = np.empty(n), 0
+    while filled < n:
+        want = n - filled
+        batch = min(math.ceil(want / acc * 1.05) + 64, sim._MAX_BATCH)
+        r, env = _ref_draw_envelope(pieces, rng, batch)
+        f_pos = np.asarray(model.density(r), dtype=float)
+        g = f_pos + np.asarray(model.density(-r), dtype=float)
+        v = rng.random(batch) * env
+        x = np.where(v < f_pos, r, -r)[v < g][:want]
+        out[filled:filled + x.size] = x
+        filled += x.size
+    return out
+
+
+def _ref_compound(model, lo, hi, lam, t, rng, n):
+    counts = rng.poisson(t * lam, size=n)
+    jumps = _ref_band_jumps(model, lo, hi, lam, rng, int(counts.sum()))
+    owner = np.repeat(np.arange(n), counts)
+    return np.bincount(owner, weights=jumps, minlength=n), int(counts.sum())
+
+
+def _same_stream(chunked, reference, seed=21):
+    """Run both draws on fresh generators of one seed; compare output bits
+    and the generators' states after."""
+    rng_c = SeededStream(seed).generator()
+    rng_r = SeededStream(seed).generator()
+    out_c, out_r = chunked(rng_c), reference(rng_r)
+    assert repr(rng_c.bit_generator.state) == repr(rng_r.bit_generator.state)
+    return out_c, out_r
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+PL = power_law(1.0, 0.5)
+DISC = discontinuous_example(1.5, 1.0)
+
+
+@pytest.mark.parametrize("n", [1000, sim._CHUNK, 2 * sim._CHUNK + 7])
+def test_chunked_part_band_matches_one_shot_draws(n):
+    lam = lambda_band(PL, 1e-3, 1.0).value
+    out_c, out_r = _same_stream(
+        lambda rng: sim._band_jumps(PL, 1e-3, 1.0, lam, rng, n),
+        lambda rng: _ref_band_jumps(PL, 1e-3, 1.0, lam, rng, n))
+    assert _bits(out_c) == _bits(out_r)
+
+
+@pytest.mark.parametrize("side", ["pos", "neg", "both"])
+def test_one_sided_parts_match_one_shot_draws(side):
+    part = PowerPart(coef=1.0, alpha=1.2, lo=0.0, hi=2.0, side=side)
+    n = sim._CHUNK + 3
+    out_c, out_r = _same_stream(
+        lambda rng: sim._sample_part_band(part, 0.01, 1.5, rng, n),
+        lambda rng: _ref_part_band(part, 0.01, 1.5, rng, n))
+    assert _bits(out_c) == _bits(out_r)
+    assert side != "pos" or out_c.min() > 0
+    assert side != "neg" or out_c.max() < 0
+
+
+def test_odd_sign_count_carries_into_the_next_compound_poisson():
+    # a Philox generator keeps the unused half of a 64-bit word between
+    # 32-bit draws: an odd number of signs leaves it for the next band
+    lam_s = lambda_band(PL, 1e-3, 1.0).value
+    lam_b = lambda_band(PL, 1.0, math.inf).value
+
+    def block(band_jumps, compound):
+        def run(rng):
+            first = band_jumps(PL, 1e-3, 1.0, lam_s, rng, sim._CHUNK + 1)
+            return first, compound(PL, 1e-3, 1.0, lam_s, 0.05, rng, 301), \
+                compound(PL, 1.0, math.inf, lam_b, 0.05, rng, 301)
+        return run
+
+    out_c, out_r = _same_stream(block(sim._band_jumps, sim._compound_poisson),
+                                block(_ref_band_jumps, _ref_compound))
+    assert _bits(out_c[0]) == _bits(out_r[0])
+    for (sums_c, k_c), (sums_r, k_r) in zip(out_c[1:], out_r[1:]):
+        assert _bits(sums_c) == _bits(sums_r) and k_c == k_r
+
+
+def test_two_part_band_matches_one_shot_draws():
+    lam = lambda_band(DISC, 1.0, math.inf).value
+    n = 2 * sim._CHUNK + 5
+    out_c, out_r = _same_stream(
+        lambda rng: sim._band_jumps(DISC, 1.0, math.inf, lam, rng, n),
+        lambda rng: _ref_band_jumps(DISC, 1.0, math.inf, lam, rng, n))
+    assert _bits(out_c) == _bits(out_r)
+    assert np.any(np.abs(out_c) > 1.5) and np.any(np.abs(out_c) <= 1.5)
+
+
+def test_path_with_more_jumps_than_a_chunk_sums_as_one_bincount():
+    lam = lambda_band(PL, 1e-3, 1.0).value
+    t = 2.0 * sim._CHUNK / lam  # about two chunks of jumps per path
+    out_c, out_r = _same_stream(
+        lambda rng: sim._compound_poisson(PL, 1e-3, 1.0, lam, t, rng, 5),
+        lambda rng: _ref_compound(PL, 1e-3, 1.0, lam, t, rng, 5))
+    assert _bits(out_c[0]) == _bits(out_r[0])
+    assert out_c[1] == out_r[1] > 8 * sim._CHUNK
+
+
+@pytest.mark.parametrize("band", [(1e-3, 1.0), (1.0, math.inf)], ids=str)
+@pytest.mark.parametrize("model", [tempered_stable(0.5, 1.0), LOPSIDED],
+                         ids=lambda m: m.name)
+def test_chunked_rejection_matches_one_shot_draws(model, band):
+    lo, hi = band
+    lam = lambda_band(model, lo, hi).value
+    n = 100_000
+    out_c, out_r = _same_stream(
+        lambda rng: sim._band_jumps(model, lo, hi, lam, rng, n),
+        lambda rng: _ref_band_jumps(model, lo, hi, lam, rng, n))
+    assert _bits(out_c) == _bits(out_r)
+
+
+def test_rejection_draws_every_v_of_a_batch_it_fills_early():
+    # a batch of about 2 _CHUNK + 10 candidates keeps its n jumps about 5 %
+    # before its end, so its last chunk of v's is drawn but not tested
+    model, lo, hi = tempered_stable(0.5, 1.0), 1e-3, 1.0
+    lam = lambda_band(model, lo, hi).value
+    acc = lam / sum(p[5] for p in sim._envelope_pieces(model, lo, hi))
+    n = int((2 * sim._CHUNK + 10 - 64) * acc / 1.05)
+    out_c, out_r = _same_stream(
+        lambda rng: sim._band_jumps(model, lo, hi, lam, rng, n),
+        lambda rng: _ref_band_jumps(model, lo, hi, lam, rng, n))
+    assert _bits(out_c) == _bits(out_r)
+
+
 def test_band_without_mass_raises_before_drawing(monkeypatch):
     # vanishes on (1, 2] without declaring a support radius
     def density(x):
@@ -400,6 +586,112 @@ def test_intervals_match_scipy_stats_bit_for_bit():
         hi = 1.0 if k == n else float(stats.beta.ppf(1.0 - a / 2.0, k + 1,
                                                      n - k))
         assert sim._clopper_pearson(k, n, conf) == (lo, hi)
+
+
+# === jumps drawn, concurrent blocks and their memory =========================
+
+
+def test_jumps_are_the_poisson_counts_of_every_block():
+    # replay each block with the one-shot references: M_t(1)'s band, then
+    # the jumps beyond 1, as the composed increment draws them
+    model, t = PL, 0.05
+    scheme = SmallJumpScheme(delta=0.01)
+    n, stream = 2 * sim.BLOCK + 1000, SeededStream(12, 3)
+    lam_s = lambda_band(model, 0.01, 1.0).value
+    lam_b = lambda_band(model, 1.0, math.inf).value
+    total = 0
+    for j, size in enumerate((sim.BLOCK, sim.BLOCK, 1000)):
+        rng = stream.block_generator(j)
+        total += _ref_compound(model, 0.01, 1.0, lam_s, t, rng, size)[1]
+        total += _ref_compound(model, 1.0, math.inf, lam_b, t, rng, size)[1]
+    ests = [estimate_tail_prob(model, 0.5, t, n, stream, shards=s,
+                               scheme=scheme) for s in (1, 3)]
+    assert ests[0].jumps == ests[1].jumps == total > 0
+    assert estimate_tail_prob(cauchy(), 1.0, 0.05, n, stream).jumps == 0
+
+
+@pytest.fixture
+def block_threads(monkeypatch):
+    """Set the CPUs the process may run on; record the threads that drew
+    the blocks."""
+    seen = []
+    for name in ("_increment_draw", "_small_jump_draw"):
+        real = getattr(sim, name)
+
+        def recording(*args, _real=real, **kwargs):
+            draw = _real(*args, **kwargs)
+
+            def recorded(rng, n):
+                seen.append(threading.get_ident())
+                return draw(rng, n)
+
+            return recorded
+
+        monkeypatch.setattr(sim, name, recording)
+
+    def set_cpus(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+        seen.clear()
+
+    set_cpus.seen = seen
+    return set_cpus
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+def test_estimates_do_not_depend_on_the_cpu_count(block_threads, shards):
+    n, stream = 3 * sim.BLOCK + 11, SeededStream(14)
+    scheme = SmallJumpScheme(delta=0.01, gaussian_refinement=True)
+    runs = []
+    for cpus in ({0}, {0, 1, 2, 3}):
+        block_threads(cpus)
+        runs.append((
+            estimate_tail_prob(tempered_stable(0.5, 1.0), 0.5, 0.05, n, stream,
+                               shards=shards, scheme=scheme),
+            estimate_smalljump_tail(DISC, 0.8, 0.02, n, stream, scheme,
+                                    shards=shards, side="pos"),
+        ))
+        # the calling thread draws every block with one CPU; with four,
+        # pool threads draw some of them
+        seen = set(block_threads.seen)
+        assert (seen == {threading.get_ident()}) == (len(cpus) == 1)
+    assert runs[0] == runs[1]
+
+
+def test_a_failing_block_raises_the_same_error_on_any_cpu_count(
+        block_threads, monkeypatch):
+    # acceptance 1e-9 with 64 candidates per batch: every block stalls
+    faint = LevyModel(density=lambda x: 1e-9 * np.abs(x) ** -1.5,
+                      symmetric=True, variation="finite", class_alpha=0.5,
+                      class_M=1.0, name="faint")
+    monkeypatch.setattr(sim, "_MAX_BATCH", 64)
+    errors = []
+    for cpus in ({0}, {0, 1, 2, 3}):
+        block_threads(cpus)
+        with pytest.raises(SchemeInfeasible) as info:
+            estimate_smalljump_tail(faint, 0.5, 1e4, 2 * sim.BLOCK,
+                                    SeededStream(1), SmallJumpScheme(0.01))
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    assert "stalled" in errors[0][1]
+
+
+def test_two_blocks_in_flight_hold_about_one_float_per_jump(block_threads,
+                                                            monkeypatch):
+    # lambda of (1e-4, 1] is 4 (100 - 1) = 396, so t = 0.155 draws about
+    # 61 jumps per path, 1 M per 2^14-path block; band arrays come from
+    # numpy's allocator here, so that tracemalloc sees them
+    block_threads({0, 1})
+    monkeypatch.setattr(sim, "_band_array", np.empty)
+    tracemalloc.start()
+    try:
+        est = estimate_tail_prob(PL, 0.5, 0.155, 2 * sim.BLOCK,
+                                 SeededStream(3), scheme=SmallJumpScheme(1e-4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_block = est.jumps / 2
+    assert 0.9e6 < per_block < 1.1e6
+    assert peak < 2 * 8 * per_block + 8 * 2 ** 20, peak
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
